@@ -3,8 +3,8 @@
 #include <string>
 #include <utility>
 
-#include "core/session.h"
 #include "fleet/slo.h"
+#include "fleet/tenant_host.h"
 #include "obs/flight_recorder.h"
 #include "obs/level.h"
 #include "obs/scope.h"
@@ -35,20 +35,10 @@ void ChaosStats::MergeFrom(const ChaosStats& other) {
 // here is synchronized.
 struct ChaosFleetRunner::Worker {
   Worker(const ChaosOptions& options, size_t worker_index)
-      : index(worker_index), pool([&options] {
-          auto session = std::make_unique<Session>();
-          session->policy = options.policy_factory();
-          return session;
-        }) {}
-
-  struct Live {
-    std::unique_ptr<Session> session;
-    size_t job_index = 0;
-  };
+      : index(worker_index), host(options.policy_factory) {}
 
   const size_t index;
-  SessionPool<Session> pool;
-  std::vector<Live> live;
+  TenantHost host;                   // keyed by job index
   std::vector<size_t> waiting;       // job indices, admission order
   std::vector<Checkpoint> incoming;  // restored when delay_ticks reaches 0
   ChaosStats stats;                  // worker-side events (restores, steps)
@@ -60,10 +50,7 @@ ChaosFleetRunner::ChaosFleetRunner(ChaosOptions options)
   RRS_CHECK_GE(options_.num_workers, 1u);
   RRS_CHECK_GE(options_.rounds_per_tick, 1);
   if (!options_.policy_factory) {
-    const DlruEdfPolicy::Params params;
-    options_.policy_factory = [params] {
-      return std::make_unique<DlruEdfPolicy>(params);
-    };
+    options_.policy_factory = [] { return std::make_unique<DlruEdfPolicy>(); };
   }
   workers_.reserve(options_.num_workers);
   for (size_t w = 0; w < options_.num_workers; ++w) {
@@ -84,6 +71,10 @@ void ChaosFleetRunner::TickWorker(Worker& worker,
   const uint32_t worker_tag = static_cast<uint32_t>(worker.index);
   // One clock read per worker-tick; every event below shares it (RecordAt).
   const uint64_t now_ns = ring != nullptr ? obs::NowNs() : 0;
+  auto record = [&](obs::FlightEventType type, uint64_t arg1,
+                    uint64_t arg2 = 0) {
+    if (ring != nullptr) ring->RecordAt(now_ns, type, worker_tag, arg1, arg2);
+  };
 
   // ---- Restore: resume every due checkpoint (exempt from the live cap —
   // a checkpointed tenant must come back regardless of load). ----
@@ -96,94 +87,62 @@ void ChaosFleetRunner::TickWorker(Worker& worker,
       continue;
     }
     const FleetJob& job = jobs[cp.job_index];
-    auto session = worker.pool.Acquire();
-    session->engine.Reset(*job.instance, job.options);
-    snapshot::Reader reader(cp.words);
     {
       obs::Span span(tracer, track, "fleet.chaos.restore",
                      static_cast<uint64_t>(cp.job_index));
-      session->engine.RestoreRun(*session->policy, reader);
+      worker.host.Admit(cp.job_index, job.instance, MakeJobSource(job),
+                        job.options, cp.words);
     }
-    RRS_CHECK(reader.AtEnd()) << "trailing words in tenant checkpoint";
-    worker.live.push_back({std::move(session), cp.job_index});
     ++worker.stats.restores;
     if (cp.from_worker != worker.index) ++worker.stats.migrations;
-    if (ring != nullptr) {
-      ring->RecordAt(now_ns, obs::kFlightRestore, worker_tag, cp.job_index,
-                   cp.from_worker);
-    }
+    record(obs::kFlightRestore, cp.job_index, cp.from_worker);
   }
   worker.incoming.resize(keep);
 
-  // ---- Admit: bind waiting tenants to sessions up to the live cap. ----
+  // ---- Admit: bind waiting tenants up to the live cap. ----
   size_t admitted = 0;
   while (admitted < worker.waiting.size() &&
          (options_.max_live_sessions == 0 ||
-          worker.live.size() < options_.max_live_sessions)) {
+          worker.host.live().size() < options_.max_live_sessions)) {
     const size_t job_index = worker.waiting[admitted++];
     const FleetJob& job = jobs[job_index];
-    auto session = worker.pool.Acquire();
-    session->engine.Reset(*job.instance, job.options);
-    session->engine.BeginRun(*session->policy);
-    worker.live.push_back({std::move(session), job_index});
-    if (ring != nullptr) {
-      ring->RecordAt(now_ns, obs::kFlightAdmit, worker_tag, job_index);
-    }
+    worker.host.Admit(job_index, job.instance, MakeJobSource(job),
+                      job.options);
+    record(obs::kFlightAdmit, job_index);
   }
   worker.waiting.erase(
       worker.waiting.begin(),
       worker.waiting.begin() + static_cast<ptrdiff_t>(admitted));
 
-  // ---- Step: advance every live session one round bucket. ----
-  size_t out = 0;
-  for (size_t i = 0; i < worker.live.size(); ++i) {
-    Engine& engine = worker.live[i].session->engine;
-    obs::Span span(tracer, track, options_.trace_label,
-                   static_cast<uint64_t>(worker.live[i].job_index));
-    const Round before = engine.next_round();
-    const bool more = engine.StepRounds(options_.rounds_per_tick);
-    worker.stats.rounds_stepped +=
-        static_cast<uint64_t>(engine.next_round() - before);
-    if (more) {
-      if (slo != nullptr &&
-          slo->Observe(worker.index, worker.live[i].job_index,
-                       static_cast<uint64_t>(engine.next_round()),
-                       engine.run_cost().drops) > 0 &&
-          ring != nullptr) {
-        ring->RecordAt(now_ns, obs::kFlightSloExhausted, worker_tag,
-                     worker.live[i].job_index);
-      }
-      worker.live[out++] = std::move(worker.live[i]);
-    } else {
-      const size_t job_index = worker.live[i].job_index;
-      engine.FinishRun(results[job_index]);
-      ++worker.stats.sessions_completed;
-      worker.pool.Release(std::move(worker.live[i].session));
-      if (slo != nullptr) {
-        const uint32_t exhausted =
-            slo->Finish(worker.index, job_index, *jobs[job_index].instance,
-                        results[job_index]);
-        if (exhausted > 0 && ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightSloExhausted, worker_tag,
-                         job_index);
+  // ---- Step: advance every live tenant one round bucket. ----
+  worker.host.set_trace(tracer, options_.trace_label);
+  worker.stats.rounds_stepped += worker.host.Step(
+      options_.rounds_per_tick,
+      [&](const TenantHost::Tenant& tenant) {
+        const Engine& engine = tenant.engine();
+        if (slo != nullptr &&
+            slo->Observe(worker.index, tenant.key,
+                         static_cast<uint64_t>(engine.next_round()),
+                         engine.run_cost().drops) > 0) {
+          record(obs::kFlightSloExhausted, tenant.key);
         }
-      }
-      if (ring != nullptr) {
-        ring->RecordAt(now_ns, obs::kFlightFinish, worker_tag, job_index,
-                     results[job_index].cost.drops);
-      }
-    }
-  }
-  worker.live.resize(out);
-  if (ring != nullptr) {
-    ring->RecordAt(now_ns, obs::kFlightTick, worker_tag,
-                   worker.stats.rounds_stepped);
-  }
+      },
+      [&](const TenantHost::Tenant& tenant, RunResult& result) {
+        const size_t job_index = tenant.key;
+        results[job_index] = std::move(result);
+        ++worker.stats.sessions_completed;
+        if (slo != nullptr &&
+            slo->Finish(worker.index, job_index, tenant.engine().instance(),
+                        results[job_index]) > 0) {
+          record(obs::kFlightSloExhausted, job_index);
+        }
+        record(obs::kFlightFinish, job_index, results[job_index].cost.drops);
+      });
+  record(obs::kFlightTick, worker.stats.rounds_stepped);
   if (slo != nullptr) slo->Publish(worker.index);
 }
 
-bool ChaosFleetRunner::InjectFaults(std::span<const FleetJob> jobs) {
-  (void)jobs;
+bool ChaosFleetRunner::InjectFaults() {
   obs::Tracer* tracer =
       options_.scope != nullptr ? options_.scope->tracer() : nullptr;
   obs::TraceTrack* track = tracer != nullptr ? tracer->ThreadTrack() : nullptr;
@@ -199,21 +158,15 @@ bool ChaosFleetRunner::InjectFaults(std::span<const FleetJob> jobs) {
     }
   }
 
-  // Snapshot one live session into a Checkpoint and tear it down (shared by
-  // the kill and evict paths). The pooled session object survives as
-  // reusable capacity; the run state lives on only in the checkpoint words.
+  // Checkpoint one live tenant (shared by the kill and evict paths); the
+  // caller evicts it, after which the run lives on only in the words.
   auto checkpoint = [&](Worker& worker, size_t live_index,
                         uint32_t delay_ticks) {
-    Worker::Live& entry = worker.live[live_index];
     Checkpoint cp;
-    cp.job_index = entry.job_index;
+    cp.job_index = worker.host.live()[live_index].key;
     cp.delay_ticks = delay_ticks;
     cp.from_worker = worker.index;
-    snapshot_scratch_.Clear();
-    entry.session->engine.SnapshotRun(snapshot_scratch_);
-    entry.session->engine.AbortRun();
-    worker.pool.Release(std::move(entry.session));
-    cp.words = snapshot_scratch_.words();
+    cp.words = worker.host.Checkpoint(live_index);
     stats_.snapshot_words += cp.words.size();
     return cp;
   };
@@ -222,39 +175,42 @@ bool ChaosFleetRunner::InjectFaults(std::span<const FleetJob> jobs) {
   if (num_workers > 1 && plan_rng_.Bernoulli(options_.kill_worker_prob)) {
     const size_t victim = plan_rng_.NextBounded(num_workers);
     Worker& worker = *workers_[victim];
-    if (worker.live.empty()) {
+    const size_t live = worker.host.live().size();
+    if (live == 0) {
       ++stats_.noop_faults;
     } else {
       obs::Span span(tracer, track, "fleet.chaos.kill",
-                     static_cast<uint64_t>(worker.live.size()));
+                     static_cast<uint64_t>(live));
       ++stats_.kills;
       if (ring != nullptr) {
         ring->Record(obs::kFlightKillWorker, static_cast<uint32_t>(victim),
-                     worker.live.size());
+                     live);
       }
-      // Checkpoint every live tenant on the victim and deal the snapshots
+      // Checkpoint every live tenant on the victim and deal the checkpoints
       // round-robin to the surviving workers for immediate restore.
       size_t target = victim;
-      for (size_t i = 0; i < worker.live.size(); ++i) {
+      for (size_t i = 0; i < live; ++i) {
         target = (target + 1) % num_workers;
         if (target == victim) target = (target + 1) % num_workers;
         workers_[target]->incoming.push_back(checkpoint(worker, i, 0));
       }
-      worker.live.clear();
+      for (size_t i = live; i-- > 0;) worker.host.Evict(i);
     }
   }
 
   // ---- evict-and-restore (possibly delayed) -----------------------------
   if (plan_rng_.Bernoulli(options_.evict_prob)) {
     size_t total_live = 0;
-    for (const auto& worker : workers_) total_live += worker->live.size();
+    for (const auto& worker : workers_) {
+      total_live += worker->host.live().size();
+    }
     if (total_live == 0) {
       ++stats_.noop_faults;
     } else {
       size_t pick = plan_rng_.NextBounded(total_live);
       size_t source = 0;
-      while (pick >= workers_[source]->live.size()) {
-        pick -= workers_[source]->live.size();
+      while (pick >= workers_[source]->host.live().size()) {
+        pick -= workers_[source]->host.live().size();
         ++source;
       }
       uint32_t delay = 0;
@@ -266,14 +222,14 @@ bool ChaosFleetRunner::InjectFaults(std::span<const FleetJob> jobs) {
       }
       const size_t target = plan_rng_.NextBounded(num_workers);
       Worker& worker = *workers_[source];
-      obs::Span span(tracer, track, "fleet.chaos.evict",
-                     static_cast<uint64_t>(worker.live[pick].job_index));
+      const uint64_t job_index = worker.host.live()[pick].key;
+      obs::Span span(tracer, track, "fleet.chaos.evict", job_index);
       if (ring != nullptr) {
         ring->Record(obs::kFlightEvict, static_cast<uint32_t>(source),
-                     worker.live[pick].job_index, delay);
+                     job_index, delay);
       }
       workers_[target]->incoming.push_back(checkpoint(worker, pick, delay));
-      worker.live.erase(worker.live.begin() + static_cast<ptrdiff_t>(pick));
+      worker.host.Evict(pick);
       ++stats_.evictions;
     }
   }
@@ -306,7 +262,7 @@ bool ChaosFleetRunner::InjectFaults(std::span<const FleetJob> jobs) {
   }
 
   for (const auto& worker : workers_) {
-    if (!worker->live.empty() || !worker->waiting.empty() ||
+    if (!worker->host.live().empty() || !worker->waiting.empty() ||
         !worker->incoming.empty()) {
       return true;
     }
@@ -335,7 +291,6 @@ std::vector<RunResult> ChaosFleetRunner::RunAll(
   }
 
   for (size_t j = 0; j < jobs.size(); ++j) {
-    RRS_CHECK(jobs[j].instance != nullptr);
     RRS_CHECK(jobs[j].kind == FleetJob::Kind::kReplay)
         << "ChaosFleetRunner supports replay jobs only";
     RRS_CHECK(!jobs[j].options.record_schedule)
@@ -345,16 +300,11 @@ std::vector<RunResult> ChaosFleetRunner::RunAll(
 
   bool more = !jobs.empty();
   while (more) {
-    if (options_.pool == nullptr || num_workers == 1) {
-      for (auto& worker : workers_) TickWorker(*worker, jobs, results);
-    } else {
-      ParallelFor(*options_.pool, 0, static_cast<int64_t>(num_workers),
-                  [&](int64_t w) {
-                    TickWorker(*workers_[static_cast<size_t>(w)], jobs,
-                               results);
-                  });
-    }
-    more = InjectFaults(jobs);
+    ParallelFor(options_.pool, 0, static_cast<int64_t>(num_workers),
+                [&](int64_t w) {
+                  TickWorker(*workers_[static_cast<size_t>(w)], jobs, results);
+                });
+    more = InjectFaults();
   }
 
   if (options_.scope != nullptr) {

@@ -1,34 +1,37 @@
-// ChaosFleetRunner: FleetRunner's fault-injecting sibling, built on the
-// snapshot layer (snapshot/codec.h, Engine::SnapshotRun/RestoreRun).
+// ChaosFleetRunner: a seeded fault plan over TenantHost checkpoint/restore
+// (fleet/tenant_host.h, built on the snapshot layer, snapshot/codec.h).
 //
-// The runner multiplexes replay tenants across workers exactly like
-// fleet/FleetRunner, but advances the whole fleet in *lock-step global
-// ticks*: every worker steps its live sessions one round bucket in parallel,
-// then a single-threaded coordinator injects faults drawn from a seeded plan
-// RNG at the tick barrier. Because worker state is disjoint within a tick
-// and every fault decision happens in the serial coordinator, the entire
-// execution — fault plan, migration targets, final results — is a pure
-// function of (jobs, options.seed), independent of thread count.
+// Each worker is a TenantHost plus its waiting and incoming queues. The
+// whole fleet advances in *lock-step global ticks*: every worker steps its
+// host one round bucket in parallel, then a single-threaded coordinator
+// injects faults drawn from a seeded plan RNG at the tick barrier. Because
+// worker state is disjoint within a tick and every fault decision happens
+// in the serial coordinator, the entire execution — fault plan, migration
+// targets, final results — is a pure function of (jobs, options.seed),
+// independent of thread count.
 //
 // Fault kinds (all driven by the plan RNG, all at round boundaries):
 //
-//   kill-worker       every live session on one worker is checkpointed, its
-//                     live set is wiped, and the snapshots are redistributed
-//                     round-robin to the surviving workers, which restore
-//                     and resume them on the next tick;
-//   evict-and-restore one live tenant is checkpointed, torn down, and
+//   kill-worker       every live tenant on one worker is checkpointed and
+//                     evicted, and the checkpoints are dealt round-robin to
+//                     the surviving workers, which restore and resume them
+//                     on the next tick;
+//   evict-and-restore one live tenant is checkpointed, evicted, and
 //                     queued for restore on a (possibly different) worker;
 //   delayed restore   an eviction whose restore is held for 1..max ticks —
-//                     the snapshot bytes are the only surviving record of
+//                     the checkpoint words are the only surviving record of
 //                     the tenant while it is in limbo;
 //   shard rebalance   all not-yet-admitted jobs are collected and dealt out
 //                     round-robin from a random offset, changing which
 //                     worker will run them.
 //
-// The headline guarantee — checked by tests/chaos_test.cpp at 0/1/2/8
-// threads — is that per-tenant RunResults are bit-identical to a fault-free
-// fleet run: checkpoint/restore is exact, so arbitrarily interrupted and
-// migrated sessions finish indistinguishably from undisturbed ones.
+// Instance-fed and streaming tenants are both supported: a streaming
+// tenant's checkpoint carries its source's sections, and a restore builds
+// a fresh source from the job. The headline guarantee — checked by
+// tests/chaos_test.cpp at 0/1/2/8 threads — is that per-tenant RunResults
+// are bit-identical to a fault-free fleet run: checkpoint/restore is exact,
+// so arbitrarily interrupted and migrated tenants finish indistinguishably
+// from undisturbed ones.
 //
 // Chaos events surface as fleet.chaos.* counters and (with a tracing scope)
 // per-event spans on the coordinator's thread track.
@@ -136,10 +139,6 @@ class ChaosFleetRunner {
   size_t num_workers() const { return workers_.size(); }
 
  private:
-  struct Session {
-    Engine engine;
-    std::unique_ptr<SchedulerPolicy> policy;
-  };
   // A tenant checkpoint in transit between workers (or in delayed-restore
   // limbo): the codec words plus where it came from.
   struct Checkpoint {
@@ -154,17 +153,14 @@ class ChaosFleetRunner {
                   std::span<RunResult> results);
   // Serial fault injection at the tick barrier; returns true while any work
   // (live, waiting, or checkpointed) remains anywhere.
-  bool InjectFaults(std::span<const FleetJob> jobs);
+  bool InjectFaults();
 
   ChaosOptions options_;
   std::vector<std::unique_ptr<Worker>> workers_;
   Rng plan_rng_;
   ChaosStats stats_;
   obs::FlightRing* coord_ring_ = nullptr;  // set per RunAll when recording
-  // Coordinator scratch, reused across events (SnapshotRun words and the
-  // rebalance gather buffer).
-  snapshot::Writer snapshot_scratch_;
-  std::vector<size_t> rebalance_scratch_;
+  std::vector<size_t> rebalance_scratch_;   // rebalance gather buffer
 };
 
 }  // namespace fleet

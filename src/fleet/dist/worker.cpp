@@ -3,21 +3,20 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/engine.h"
 #include "core/instance.h"
-#include "core/session.h"
 #include "fleet/dist/protocol.h"
+#include "fleet/tenant_host.h"
 #include "net/socket.h"
 #include "obs/export_server.h"
 #include "obs/level.h"
 #include "obs/scope.h"
+#include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "sched/registry.h"
@@ -30,45 +29,6 @@ namespace fleet {
 namespace dist {
 
 namespace {
-
-uint64_t WallNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-struct Session {
-  Engine engine;
-  std::unique_ptr<SchedulerPolicy> policy;
-};
-
-struct Live {
-  std::unique_ptr<Session> session;
-  TenantSpec spec;
-  // Streaming tenants: the instantiated source the engine pulls from (the
-  // engine holds a reference; null for instance-fed tenants).
-  std::unique_ptr<workload::ArrivalSource> source;
-};
-
-// One shard: touched by exactly one thread per tick, so nothing here is
-// synchronized. The scratch vectors are the shard's slice of the TickReport,
-// merged (and sorted by tenant) at the barrier.
-struct Shard {
-  explicit Shard(SessionPool<Session>::Factory factory)
-      : pool(std::move(factory)) {}
-
-  SessionPool<Session> pool;
-  std::vector<Live> live;
-
-  // Per-tick scratch, cleared at the top of every step phase.
-  std::vector<TenantResult> completed;
-  std::vector<TenantProgress> slo;
-  std::vector<TraceRow> trace;
-  std::vector<TenantCheckpoint> checkpoints;
-  uint64_t rounds_stepped = 0;
-  snapshot::Writer snapshot_scratch;
-};
 
 class Worker {
  public:
@@ -145,7 +105,7 @@ class Worker {
   }
 
   void HandleConfig(snapshot::Reader& reader) {
-    RRS_CHECK(shards_.empty()) << "duplicate Config";
+    RRS_CHECK(hosts_.empty()) << "duplicate Config";
     config_ = GetConfig(reader);
     RRS_CHECK_GE(config_.rounds_per_tick, 1);
     const std::string policy =
@@ -153,17 +113,15 @@ class Worker {
     // Every session gets its own policy instance from the registry; a
     // restored tenant resumes on a fresh one (RestoreRun reloads its state).
     auto factory = [policy] {
-      auto session = std::make_unique<Session>();
-      session->policy = MakePolicy(policy);
-      RRS_CHECK(session->policy != nullptr)
+      auto scheduler = MakePolicy(policy);
+      RRS_CHECK(scheduler != nullptr)
           << "unknown policy in worker config: " << policy;
-      return session;
+      return scheduler;
     };
     const size_t num_shards = std::max<uint32_t>(1, config_.threads);
-    shards_.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      shards_.push_back(std::make_unique<Shard>(factory));
-    }
+    hosts_.reserve(num_shards);
+    for (size_t s = 0; s < num_shards; ++s) hosts_.emplace_back(factory);
+    slices_.resize(num_shards);
     if (config_.threads > 0) {
       pool_ = std::make_unique<ThreadPool>(config_.threads);
     }
@@ -223,12 +181,14 @@ class Worker {
     Send(kMsgConfigAck);
   }
 
-  const Instance& InstanceOf(const TenantSpec& spec) const {
+  // A tenant's shipped instance (null for streaming tenants).
+  const Instance* InstanceOf(const TenantSpec& spec) const {
+    if (spec.source_id != kNoSourceId) return nullptr;
     const auto it = instances_.find(spec.instance_id);
     RRS_CHECK(it != instances_.end())
         << "tenant " << spec.tenant << " references unknown instance "
         << spec.instance_id;
-    return it->second;
+    return &it->second;
   }
 
   // Instantiates a streaming tenant's source from the shipped spec table
@@ -245,55 +205,37 @@ class Worker {
     return workload::MakeSource(it->second);
   }
 
-  size_t TotalLive() const {
-    size_t live = 0;
-    for (const auto& shard : shards_) live += shard->live.size();
-    return live;
-  }
-
   void HandleTick(snapshot::Reader& reader) {
-    RRS_CHECK(!shards_.empty()) << "Tick before Config";
+    RRS_CHECK(!hosts_.empty()) << "Tick before Config";
     const TickCmd cmd = GetTickCmd(reader);
 
-    // ---- Admit: bind waiting tenants to pooled sessions, round-robin over
+    // ---- Admit: bind waiting tenants to shard hosts, round-robin over
     // shards in admission order, up to the worker-wide live cap. ----
-    size_t total_live = TotalLive();
+    size_t total_live = 0;
+    for (const TenantHost& host : hosts_) total_live += host.live().size();
     size_t admitted = 0;
     while (admitted < waiting_.size() &&
            (config_.max_live_sessions == 0 ||
             total_live < config_.max_live_sessions)) {
       const TenantSpec& spec = waiting_[admitted++];
-      Shard& shard = *shards_[admit_counter_++ % shards_.size()];
-      auto session = shard.pool.Acquire();
-      std::unique_ptr<workload::ArrivalSource> source = SourceOf(spec);
-      if (source != nullptr) {
-        session->engine.Reset(*source, spec.options.ToEngineOptions());
-      } else {
-        session->engine.Reset(InstanceOf(spec),
-                              spec.options.ToEngineOptions());
-      }
-      session->engine.BeginRun(*session->policy);
-      shard.live.push_back({std::move(session), spec, std::move(source)});
+      hosts_[admit_counter_++ % hosts_.size()].Admit(
+          spec.tenant, InstanceOf(spec), SourceOf(spec),
+          spec.options.ToEngineOptions());
       ++total_live;
     }
     waiting_.erase(waiting_.begin(),
                    waiting_.begin() + static_cast<ptrdiff_t>(admitted));
 
-    // ---- Step: every shard advances its live sessions one round bucket;
+    // ---- Step: every shard advances its live tenants one round bucket;
     // shards run in parallel on the internal pool, each touched by exactly
     // one thread. ----
-    const uint64_t step_start = WallNs();
-    auto step_shard = [&](int64_t s) {
-      StepShard(*shards_[static_cast<size_t>(s)], cmd.checkpoint);
-    };
-    if (pool_ != nullptr) {
-      ParallelFor(*pool_, 0, static_cast<int64_t>(shards_.size()), step_shard);
-    } else {
-      for (int64_t s = 0; s < static_cast<int64_t>(shards_.size()); ++s) {
-        step_shard(s);
-      }
-    }
-    const uint64_t tick_wall_ns = WallNs() - step_start;
+    const uint64_t step_start = obs::NowNs();
+    ParallelFor(pool_.get(), 0, static_cast<int64_t>(hosts_.size()),
+                [&](int64_t s) {
+                  const size_t shard = static_cast<size_t>(s);
+                  StepShard(hosts_[shard], slices_[shard], cmd.checkpoint);
+                });
+    const uint64_t tick_wall_ns = obs::NowNs() - step_start;
 
     // ---- Barrier: merge shard slices into one report, sorted by tenant so
     // the controller's view is shard-count-invariant. ----
@@ -301,16 +243,16 @@ class Worker {
     report.tick = cmd.tick;
     report.tick_wall_ns = tick_wall_ns;
     report.waiting = waiting_.size();
-    for (auto& shard : shards_) {
-      report.rounds_stepped += shard->rounds_stepped;
-      report.live += shard->live.size();
-      std::move(shard->completed.begin(), shard->completed.end(),
+    for (size_t s = 0; s < hosts_.size(); ++s) {
+      TickReport& slice = slices_[s];
+      report.rounds_stepped += slice.rounds_stepped;
+      report.live += hosts_[s].live().size();
+      std::move(slice.completed.begin(), slice.completed.end(),
                 std::back_inserter(report.completed));
-      report.slo.insert(report.slo.end(), shard->slo.begin(),
-                        shard->slo.end());
-      report.trace.insert(report.trace.end(), shard->trace.begin(),
-                          shard->trace.end());
-      std::move(shard->checkpoints.begin(), shard->checkpoints.end(),
+      report.slo.insert(report.slo.end(), slice.slo.begin(), slice.slo.end());
+      report.trace.insert(report.trace.end(), slice.trace.begin(),
+                          slice.trace.end());
+      std::move(slice.checkpoints.begin(), slice.checkpoints.end(),
                 std::back_inserter(report.checkpoints));
     }
     auto by_tenant = [](const auto& a, const auto& b) {
@@ -347,117 +289,102 @@ class Worker {
     Send(kMsgTickDone);
   }
 
-  void StepShard(Shard& shard, bool checkpoint) {
-    shard.completed.clear();
-    shard.slo.clear();
-    shard.trace.clear();
-    shard.checkpoints.clear();
-    shard.rounds_stepped = 0;
-    size_t out = 0;
-    for (size_t i = 0; i < shard.live.size(); ++i) {
-      Live& entry = shard.live[i];
-      Engine& engine = entry.session->engine;
-      const Round before = engine.next_round();
-      bool more = true;
-      if (config_.report_trace) {
-        // Single-round stepping with one trace row per round: the exact
-        // fold the golden-trace digests hash, resumable across migrations
-        // because every row carries its round.
-        for (Round r = 0; more && r < config_.rounds_per_tick; ++r) {
-          more = engine.StepRounds(1);
-          const CostBreakdown& cost = engine.run_cost();
-          shard.trace.push_back({entry.spec.tenant,
-                                 static_cast<uint64_t>(engine.next_round()),
-                                 cost.reconfigurations, cost.drops,
-                                 cost.weighted_drops, engine.run_executed()});
-        }
-      } else {
-        more = engine.StepRounds(config_.rounds_per_tick);
+  // Steps one shard's host and fills its slice of the TickReport. Touched
+  // by exactly one thread per tick, so nothing here is synchronized.
+  void StepShard(TenantHost& host, TickReport& slice, bool checkpoint) {
+    slice.completed.clear();
+    slice.slo.clear();
+    slice.trace.clear();
+    slice.checkpoints.clear();
+    slice.rounds_stepped = 0;
+    auto completed = [&](const TenantHost::Tenant& tenant, RunResult& result) {
+      TenantResult& done = slice.completed.emplace_back();
+      done.tenant = tenant.key;
+      done.result = std::move(result);
+      if (!config_.collect_results) {
+        // Completion signal only: keep the scalars (cheap, and enough for
+        // the controller's accounting), drop the per-color vectors and
+        // counter map that dominate the wire at 1M tenants.
+        done.result.drops_per_color.clear();
+        done.result.telemetry = obs::Telemetry();
       }
-      shard.rounds_stepped +=
-          static_cast<uint64_t>(engine.next_round() - before);
-      if (more) {
-        if (config_.report_slo) {
-          shard.slo.push_back({entry.spec.tenant,
-                               static_cast<uint64_t>(engine.next_round()),
-                               engine.run_cost().drops});
-        }
-        if (checkpoint) {
-          shard.snapshot_scratch.Clear();
-          engine.SnapshotRun(shard.snapshot_scratch);
-          // Streaming tenants: the source's own sections ride in the same
-          // checkpoint words, right after the engine's (RestoreRun consumes
-          // them through its source_state reader).
-          if (entry.source != nullptr) {
-            entry.source->SaveState(shard.snapshot_scratch);
-          }
-          shard.checkpoints.push_back(
-              {entry.spec.tenant, static_cast<uint64_t>(engine.next_round()),
-               shard.snapshot_scratch.words()});
-        }
-        if (out != i) shard.live[out] = std::move(shard.live[i]);
-        ++out;
-      } else {
-        TenantResult done;
-        done.tenant = entry.spec.tenant;
-        engine.FinishRun(done.result);
-        if (!config_.collect_results) {
-          // Completion signal only: keep the scalars (cheap, and enough for
-          // the controller's accounting), drop the per-color vectors and
-          // counter map that dominate the wire at 1M tenants.
-          done.result.drops_per_color.clear();
-          done.result.telemetry = obs::Telemetry();
-        }
-        shard.completed.push_back(std::move(done));
-        shard.pool.Release(std::move(entry.session));
+    };
+    if (config_.report_trace) {
+      // One round per Step with one trace row per tenant-round: the exact
+      // fold the golden-trace digests hash, resumable across migrations
+      // because every row carries its round. The report's stable sort by
+      // tenant regroups each tenant's rows in round order.
+      auto row = [&](const TenantHost::Tenant& tenant,
+                     const CostBreakdown& cost, uint64_t executed) {
+        slice.trace.push_back(
+            {tenant.key, static_cast<uint64_t>(tenant.engine().next_round()),
+             cost.reconfigurations, cost.drops, cost.weighted_drops,
+             executed});
+      };
+      for (Round r = 0; r < config_.rounds_per_tick; ++r) {
+        slice.rounds_stepped += host.Step(
+            1,
+            [&](const TenantHost::Tenant& tenant) {
+              const Engine& engine = tenant.engine();
+              row(tenant, engine.run_cost(), engine.run_executed());
+            },
+            [&](const TenantHost::Tenant& tenant, RunResult& result) {
+              row(tenant, result.cost, result.executed);
+              completed(tenant, result);
+            });
+      }
+    } else {
+      slice.rounds_stepped += host.Step(
+          config_.rounds_per_tick, [](const TenantHost::Tenant&) {},
+          completed);
+    }
+    // SLO rows and checkpoints: one pass over the tenants still live.
+    for (size_t i = 0; i < host.live().size(); ++i) {
+      const TenantHost::Tenant& tenant = host.live()[i];
+      const Engine& engine = tenant.engine();
+      const uint64_t round = static_cast<uint64_t>(engine.next_round());
+      if (config_.report_slo) {
+        slice.slo.push_back({tenant.key, round, engine.run_cost().drops});
+      }
+      if (checkpoint) {
+        slice.checkpoints.push_back({tenant.key, round, host.Checkpoint(i)});
       }
     }
-    shard.live.resize(out);
   }
 
-  // Finds a live tenant; returns (shard, index) or (nullptr, 0).
-  std::pair<Shard*, size_t> FindLive(uint64_t tenant) {
-    for (auto& shard : shards_) {
-      for (size_t i = 0; i < shard->live.size(); ++i) {
-        if (shard->live[i].spec.tenant == tenant) return {shard.get(), i};
+  // Finds `tenant` for a placement change: kTenantLive with its host and
+  // live index, kTenantWaiting after dropping it from the queue, or
+  // kTenantMissing.
+  uint64_t Locate(uint64_t tenant, TenantHost** host, size_t* index) {
+    for (TenantHost& candidate : hosts_) {
+      const auto live = candidate.live();
+      for (size_t i = 0; i < live.size(); ++i) {
+        if (live[i].key != tenant) continue;
+        *host = &candidate;
+        *index = i;
+        return kTenantLive;
       }
     }
-    return {nullptr, 0};
-  }
-
-  void RemoveLive(Shard& shard, size_t index) {
-    shard.live[index] = std::move(shard.live.back());
-    shard.live.pop_back();
+    const auto it = std::find_if(
+        waiting_.begin(), waiting_.end(),
+        [tenant](const TenantSpec& spec) { return spec.tenant == tenant; });
+    if (it == waiting_.end()) return kTenantMissing;
+    waiting_.erase(it);
+    return kTenantWaiting;
   }
 
   void HandleSnapshotTenant(snapshot::Reader& reader) {
-    const uint64_t tenant = GetTenantId(reader);
     SnapshotReply out;
-    out.checkpoint.tenant = tenant;
-    auto [shard, index] = FindLive(tenant);
-    if (shard != nullptr) {
-      Live& entry = shard->live[index];
-      out.state = kTenantLive;
-      out.checkpoint.round =
-          static_cast<uint64_t>(entry.session->engine.next_round());
-      shard->snapshot_scratch.Clear();
-      entry.session->engine.SnapshotRun(shard->snapshot_scratch);
-      if (entry.source != nullptr) {
-        entry.source->SaveState(shard->snapshot_scratch);
-      }
-      entry.session->engine.AbortRun();
-      out.checkpoint.words = shard->snapshot_scratch.words();
-      shard->pool.Release(std::move(entry.session));
-      RemoveLive(*shard, index);
+    out.checkpoint.tenant = GetTenantId(reader);
+    TenantHost* host = nullptr;
+    size_t index = 0;
+    out.state = Locate(out.checkpoint.tenant, &host, &index);
+    if (out.state == kTenantLive) {
+      const Engine& engine = host->live()[index].engine();
+      out.checkpoint.round = static_cast<uint64_t>(engine.next_round());
+      out.checkpoint.words = host->Checkpoint(index);
+      host->Evict(index);
       ++stats_.snapshots;
-    } else {
-      const auto it = std::find_if(
-          waiting_.begin(), waiting_.end(),
-          [tenant](const TenantSpec& spec) { return spec.tenant == tenant; });
-      if (it != waiting_.end()) {
-        out.state = kTenantWaiting;
-        waiting_.erase(it);
-      }
     }
     reply_.Clear();
     PutSnapshotReply(reply_, out);
@@ -465,7 +392,7 @@ class Worker {
   }
 
   void HandleRestoreTenant(snapshot::Reader& reader) {
-    RRS_CHECK(!shards_.empty()) << "Restore before Config";
+    RRS_CHECK(!hosts_.empty()) << "Restore before Config";
     std::vector<TenantSpec> specs;
     GetTenantSpecs(reader, &specs);
     RRS_CHECK_EQ(specs.size(), 1u);
@@ -474,23 +401,10 @@ class Worker {
     RRS_CHECK_EQ(specs[0].tenant, checkpoint.tenant);
     const TenantSpec& spec = specs[0];
     // Restores are exempt from the live cap: a checkpointed tenant must
-    // come back regardless of load (same rule as ChaosFleetRunner).
-    Shard& shard = *shards_[admit_counter_++ % shards_.size()];
-    auto session = shard.pool.Acquire();
-    std::unique_ptr<workload::ArrivalSource> source = SourceOf(spec);
-    snapshot::Reader words(checkpoint.words);
-    if (source != nullptr) {
-      // The source's saved sections sit right after the engine's in the
-      // same word stream; passing the reader as its own source_state makes
-      // RestoreRun consume them in place (O(source state), no replay).
-      session->engine.Reset(*source, spec.options.ToEngineOptions());
-      session->engine.RestoreRun(*session->policy, words, &words);
-    } else {
-      session->engine.Reset(InstanceOf(spec), spec.options.ToEngineOptions());
-      session->engine.RestoreRun(*session->policy, words);
-    }
-    RRS_CHECK(words.AtEnd()) << "trailing words in tenant checkpoint";
-    shard.live.push_back({std::move(session), spec, std::move(source)});
+    // come back regardless of load.
+    hosts_[admit_counter_++ % hosts_.size()].Admit(
+        spec.tenant, InstanceOf(spec), SourceOf(spec),
+        spec.options.ToEngineOptions(), checkpoint.words);
     ++stats_.restores;
     reply_.Clear();
     PutTenantId(reply_, spec.tenant);
@@ -498,26 +412,16 @@ class Worker {
   }
 
   void HandleShedTenant(snapshot::Reader& reader) {
-    const uint64_t tenant = GetTenantId(reader);
     ShedInfo info;
-    info.tenant = tenant;
-    auto [shard, index] = FindLive(tenant);
-    if (shard != nullptr) {
-      Live& entry = shard->live[index];
-      info.state = kTenantLive;
-      info.rounds = static_cast<uint64_t>(entry.session->engine.next_round());
-      info.misses = entry.session->engine.run_cost().drops;
-      entry.session->engine.AbortRun();
-      shard->pool.Release(std::move(entry.session));
-      RemoveLive(*shard, index);
-    } else {
-      const auto it = std::find_if(
-          waiting_.begin(), waiting_.end(),
-          [tenant](const TenantSpec& spec) { return spec.tenant == tenant; });
-      if (it != waiting_.end()) {
-        info.state = kTenantWaiting;
-        waiting_.erase(it);
-      }
+    info.tenant = GetTenantId(reader);
+    TenantHost* host = nullptr;
+    size_t index = 0;
+    info.state = Locate(info.tenant, &host, &index);
+    if (info.state == kTenantLive) {
+      const Engine& engine = host->live()[index].engine();
+      info.rounds = static_cast<uint64_t>(engine.next_round());
+      info.misses = engine.run_cost().drops;
+      host->Evict(index);
     }
     reply_.Clear();
     PutShedInfo(reply_, info);
@@ -529,7 +433,10 @@ class Worker {
   WireConfig config_;
   std::map<uint32_t, Instance> instances_;
   std::map<uint32_t, workload::GeneratorSpec> sources_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // One host per shard (keyed by tenant id) and the shard's TickReport
+  // slice, merged and sorted by tenant at the barrier.
+  std::vector<TenantHost> hosts_;
+  std::vector<TickReport> slices_;
   std::vector<TenantSpec> waiting_;  // admission order
   size_t admit_counter_ = 0;         // shard round-robin cursor
   std::unique_ptr<ThreadPool> pool_;

@@ -1,18 +1,19 @@
-// The worker side of the distributed fleet: one process hosting a sharded
-// batch of live sessions, driven entirely by protocol frames on its control
-// socket.
+// The worker side of the distributed fleet: one process hosting sharded
+// tenants, driven entirely by protocol frames on its control socket.
 //
-// WorkerMain is the whole worker — an event loop that blocks on RecvFrame
-// and dispatches: Config builds the shards (SessionPools of Engine + a
-// registry policy each, an optional internal ThreadPool, an optional
-// metrics ExportServer); AddInstances/AddTenants install work; Tick admits
-// waiting tenants up to the live cap, steps every live session one round
-// bucket (shards in parallel on the internal pool), and replies with a
-// TickReport carrying completions, per-tenant SLO progress rows, optional
-// per-round trace rows, and — when the controller asks — a checkpoint of
-// every still-live tenant; Snapshot/Restore/Shed implement the migration
-// and failover edges. Shutdown replies Bye with lifetime totals and
-// returns.
+// WorkerMain is the whole worker — shard TenantHosts (fleet/tenant_host.h)
+// plus an event loop that blocks on RecvFrame and dispatches: Config builds
+// the shards (one host each, policies from the registry, an optional
+// internal ThreadPool, an optional metrics ExportServer);
+// AddInstances/AddTenants/AddSources install work; Tick admits waiting
+// tenants up to the live cap, steps every shard's host one round bucket
+// (shards in parallel on the internal pool), and replies with a TickReport
+// carrying completions, per-tenant SLO progress rows, optional per-round
+// trace rows, and — when the controller asks — a checkpoint of every
+// still-live tenant; Snapshot/Restore/Shed map onto the host's
+// Checkpoint + Evict, Admit from checkpoint words, and Evict for the
+// migration and failover edges. Shutdown replies Bye with lifetime totals
+// and returns.
 //
 // Determinism: shard assignment is admission-order round-robin, every shard
 // is touched by exactly one thread per tick, and all report rows are merged

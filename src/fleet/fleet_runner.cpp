@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/session.h"
 #include "fleet/batch_engine.h"
 #include "fleet/slo.h"
+#include "fleet/tenant_host.h"
 #include "obs/flight_recorder.h"
 #include "obs/scope.h"
 #include "obs/trace.h"
@@ -63,16 +65,12 @@ struct FleetRunner::BatchSlab {
   std::vector<std::unique_ptr<workload::ArrivalSource>> sources;
 };
 
-// Shard-local state: session pools plus the live set. Owned and touched by
-// exactly one worker per RunAll (shard → worker affinity), so nothing here
-// is synchronized.
+// Shard-local state: the scalar tenant host, the pipeline and slab pools,
+// and the live slabs. Owned and touched by exactly one worker per RunAll
+// (shard → worker affinity), so nothing here is synchronized.
 struct FleetRunner::Shard {
   explicit Shard(const FleetOptions& options)
-      : replay_pool([&options] {
-          auto session = std::make_unique<ReplaySession>();
-          session->policy = options.policy_factory();
-          return session;
-        }),
+      : host(options.policy_factory),
         pipeline_pool([&options] {
           return std::make_unique<reduce::PipelineSession>(
               options.pipeline_params);
@@ -82,31 +80,29 @@ struct FleetRunner::Shard {
                                              options.policy_factory);
         }) {}
 
-  struct LiveSession {
-    std::unique_ptr<ReplaySession> session;
-    size_t job_index = 0;
-    // Streaming tenants' source, owned until the session finishes (the
-    // engine holds a reference into it).
-    std::unique_ptr<workload::ArrivalSource> source;
-  };
-
-  SessionPool<ReplaySession> replay_pool;
+  TenantHost host;
   SessionPool<reduce::PipelineSession> pipeline_pool;
   SessionPool<BatchSlab> batch_pool;
-  std::vector<LiveSession> live;
   std::vector<std::unique_ptr<BatchSlab>> batch_live;
   size_t batch_lanes = 0;  // open lanes across batch_live
   FleetStats stats;
 };
 
+std::unique_ptr<workload::ArrivalSource> MakeJobSource(const FleetJob& job) {
+  if (job.instance != nullptr) return nullptr;
+  RRS_CHECK(job.make_source || job.source_spec != nullptr)
+      << "FleetJob without a workload";
+  auto source = job.make_source ? job.make_source()
+                                : workload::MakeSource(*job.source_spec);
+  RRS_CHECK(source != nullptr);
+  return source;
+}
+
 FleetRunner::FleetRunner(FleetOptions options) : options_(std::move(options)) {
   RRS_CHECK_GE(options_.rounds_per_tick, 1);
   RRS_CHECK_LE(options_.batch_width, BatchEngine::kMaxLanes);
   if (!options_.policy_factory) {
-    const DlruEdfPolicy::Params params;
-    options_.policy_factory = [params] {
-      return std::make_unique<DlruEdfPolicy>(params);
-    };
+    options_.policy_factory = [] { return std::make_unique<DlruEdfPolicy>(); };
   }
   size_t shards = options_.num_shards;
   if (shards == 0) {
@@ -126,8 +122,8 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
                            std::span<RunResult> results, size_t shard_index,
                            size_t stride) {
   size_t next = shard_index;  // this shard's jobs: shard_index + k * stride
-  auto& live = shard.live;
-  RRS_CHECK(live.empty());
+  TenantHost& host = shard.host;
+  RRS_CHECK(host.live().empty());
   RRS_CHECK(shard.batch_live.empty());
   const bool batching = options_.batch_width > 1;
 
@@ -135,6 +131,7 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
   obs::Tracer* tracer =
       options_.scope != nullptr ? options_.scope->tracer() : nullptr;
   obs::TraceTrack* track = tracer != nullptr ? tracer->ThreadTrack() : nullptr;
+  host.set_trace(tracer, options_.trace_label);
 
   // SLO tracking and flight recording are shard-local and pure observation;
   // obs::kEnabled is constexpr false at RRS_OBS_LEVEL=0, erasing both.
@@ -145,28 +142,50 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
                                    std::to_string(shard_index));
   }
   const uint32_t shard_tag = static_cast<uint32_t>(shard_index);
+  // One clock read per tick: every event this tick — admits, finishes,
+  // the tick mark itself — shares the barrier's stamp (see RecordAt).
+  uint64_t now_ns = 0;
 
-  while (next < jobs.size() || !live.empty() || !shard.batch_live.empty()) {
-    // One clock read per tick: every event this tick — admits, finishes,
-    // the tick mark itself — shares the barrier's stamp (see RecordAt).
-    const uint64_t now_ns = ring != nullptr ? obs::NowNs() : 0;
+  // The SLO and flight records of every path: host tenants, slab lanes and
+  // pipeline tenants.
+  auto record = [&](obs::FlightEventType type, uint64_t arg) {
+    if (ring != nullptr) ring->RecordAt(now_ns, type, shard_tag, arg);
+  };
+  auto admitted = [&](size_t job_index) {
+    shard.stats.peak_live_sessions = std::max<uint64_t>(
+        shard.stats.peak_live_sessions, host.live().size() + shard.batch_lanes);
+    record(obs::kFlightAdmit, job_index);
+  };
+  auto observe = [&](size_t job_index, Round rounds, uint64_t misses) {
+    if (slo != nullptr && slo->Observe(shard_index, job_index,
+                                       static_cast<uint64_t>(rounds),
+                                       misses) > 0) {
+      record(obs::kFlightSloExhausted, job_index);
+    }
+  };
+  auto finished = [&](size_t job_index, const Instance& shape) {
+    ++shard.stats.sessions_completed;
+    if (slo != nullptr &&
+        slo->Finish(shard_index, job_index, shape, results[job_index]) > 0) {
+      record(obs::kFlightSloExhausted, job_index);
+    }
+    record(obs::kFlightFinish, job_index);
+  };
 
-    // ---- Admit: bind waiting tenants to sessions up to the live cap. ----
+  while (next < jobs.size() || !host.live().empty() ||
+         !shard.batch_live.empty()) {
+    if (ring != nullptr) now_ns = obs::NowNs();
+
+    // ---- Admit: bind waiting tenants up to the live cap. ----
     while (next < jobs.size() &&
            (options_.max_live_sessions == 0 ||
-            live.size() + shard.batch_lanes < options_.max_live_sessions)) {
+            host.live().size() + shard.batch_lanes <
+                options_.max_live_sessions)) {
       const FleetJob& job = jobs[next];
-      RRS_CHECK(job.instance != nullptr || job.make_source ||
-                job.source_spec != nullptr);
       // Streaming tenants materialize their source now, at admission —
       // queued jobs hold only the closure (or the spec).
-      std::unique_ptr<workload::ArrivalSource> source;
-      if (job.instance == nullptr) {
-        RRS_CHECK(job.kind == FleetJob::Kind::kReplay);
-        source = job.make_source ? job.make_source()
-                                 : workload::MakeSource(*job.source_spec);
-        RRS_CHECK(source != nullptr);
-      }
+      std::unique_ptr<workload::ArrivalSource> source = MakeJobSource(job);
+      RRS_CHECK(source == nullptr || job.kind == FleetJob::Kind::kReplay);
       if (batching && BatchEligible(job)) {
         const Instance& shape =
             source != nullptr ? source->shape() : *job.instance;
@@ -189,10 +208,7 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
           shard.batch_live.push_back(shard.batch_pool.Acquire());
           slab = shard.batch_live.back().get();
           RRS_CHECK(slab->engine.empty());
-          if (ring != nullptr) {
-            ring->RecordAt(now_ns, obs::kFlightSlabOpen, shard_tag,
-                           shard.batch_live.size());
-          }
+          record(obs::kFlightSlabOpen, shard.batch_live.size());
         }
         uint32_t lane = 0;
         while (slab->engine.lane_open(lane)) ++lane;
@@ -205,13 +221,9 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
                                 *slab->policies[lane]);
         }
         slab->job_index[lane] = next;
-        if (ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightAdmit, shard_tag, next);
-        }
         ++shard.batch_lanes;
         ++shard.stats.batched_sessions;
-        shard.stats.peak_live_sessions = std::max<uint64_t>(
-            shard.stats.peak_live_sessions, live.size() + shard.batch_lanes);
+        admitted(next);
         next += stride;
         continue;
       }
@@ -219,7 +231,6 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
         ++shard.stats.fallback_sessions;
       }
       if (job.kind == FleetJob::Kind::kPipeline) {
-        RRS_CHECK(job.instance != nullptr);
         // Pipeline tenants run to completion on admission (the pipeline's
         // transform → run → project → validate chain has no round-bucket
         // seam), through a pooled session so the inner engine stays warm.
@@ -237,73 +248,28 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
         out.telemetry = pipe.inner.telemetry;
         shard.stats.rounds_stepped +=
             static_cast<uint64_t>(pipe.inner.rounds_simulated);
-        ++shard.stats.sessions_completed;
         shard.pipeline_pool.Release(std::move(session));
-        if (slo != nullptr) slo->Finish(shard_index, next, *job.instance, out);
-        if (ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightFinish, shard_tag, next);
-        }
+        finished(next, *job.instance);
       } else {
-        auto session = shard.replay_pool.Acquire();
-        if (source != nullptr) {
-          session->engine.Reset(*source, job.options);
-        } else {
-          session->engine.Reset(*job.instance, job.options);
-        }
-        session->engine.BeginRun(*session->policy);
-        live.push_back({std::move(session), next, std::move(source)});
-        shard.stats.peak_live_sessions =
-            std::max<uint64_t>(shard.stats.peak_live_sessions, live.size());
-        if (ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightAdmit, shard_tag, next);
-        }
+        host.Admit(next, job.instance, std::move(source), job.options);
+        admitted(next);
       }
       next += stride;
     }
 
-    if (live.empty() && shard.batch_live.empty()) continue;
+    if (host.live().empty() && shard.batch_live.empty()) continue;
 
-    // ---- Tick: advance every live session one round bucket. ----
-    size_t out = 0;
-    for (size_t i = 0; i < live.size(); ++i) {
-      Engine& engine = live[i].session->engine;
-      obs::Span span(tracer, track, options_.trace_label,
-                     static_cast<uint64_t>(live[i].job_index));
-      const Round before = engine.next_round();
-      const bool more = engine.StepRounds(options_.rounds_per_tick);
-      shard.stats.rounds_stepped +=
-          static_cast<uint64_t>(engine.next_round() - before);
-      const size_t job_index = live[i].job_index;
-      if (more) {
-        if (slo != nullptr &&
-            slo->Observe(shard_index, job_index,
-                         static_cast<uint64_t>(engine.next_round()),
-                         engine.run_cost().drops) > 0 &&
-            ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightSloExhausted, shard_tag,
-                         job_index);
-        }
-        live[out++] = std::move(live[i]);
-      } else {
-        engine.FinishRun(results[job_index]);
-        ++shard.stats.sessions_completed;
-        shard.replay_pool.Release(std::move(live[i].session));
-        if (slo != nullptr &&
-            slo->Finish(shard_index, job_index,
-                        live[i].source != nullptr
-                            ? live[i].source->shape()
-                            : *jobs[job_index].instance,
-                        results[job_index]) > 0 &&
-            ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightSloExhausted, shard_tag,
-                         job_index);
-        }
-        if (ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightFinish, shard_tag, job_index);
-        }
-      }
-    }
-    live.resize(out);
+    // ---- Tick: advance every live tenant and slab one round bucket. ----
+    shard.stats.rounds_stepped += host.Step(
+        options_.rounds_per_tick,
+        [&](const TenantHost::Tenant& tenant) {
+          const Engine& engine = tenant.engine();
+          observe(tenant.key, engine.next_round(), engine.run_cost().drops);
+        },
+        [&](const TenantHost::Tenant& tenant, RunResult& result) {
+          results[tenant.key] = std::move(result);
+          finished(tenant.key, tenant.engine().instance());
+        });
 
     size_t slab_out = 0;
     for (size_t i = 0; i < shard.batch_live.size(); ++i) {
@@ -321,50 +287,28 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
         if (!slab.engine.lane_open(lane)) continue;
         const size_t job_index = slab.job_index[lane];
         if (!slab.engine.lane_done(lane)) {
-          if (slo != nullptr &&
-              slo->Observe(shard_index, job_index,
-                           static_cast<uint64_t>(slab.engine.lane_rounds(lane)),
-                           slab.engine.lane_cost(lane).drops) > 0 &&
-              ring != nullptr) {
-            ring->RecordAt(now_ns, obs::kFlightSloExhausted, shard_tag,
-                           job_index);
-          }
+          observe(job_index, slab.engine.lane_rounds(lane),
+                  slab.engine.lane_cost(lane).drops);
           continue;
         }
         slab.engine.FinishLane(lane, results[job_index]);
-        ++shard.stats.sessions_completed;
         --shard.batch_lanes;
-        if (slo != nullptr &&
-            slo->Finish(shard_index, job_index,
-                        slab.sources[lane] != nullptr
-                            ? slab.sources[lane]->shape()
-                            : *jobs[job_index].instance,
-                        results[job_index]) > 0 &&
-            ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightSloExhausted, shard_tag,
-                         job_index);
-        }
-        if (ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightFinish, shard_tag, job_index);
-        }
+        finished(job_index, slab.sources[lane] != nullptr
+                                ? slab.sources[lane]->shape()
+                                : *jobs[job_index].instance);
         slab.sources[lane].reset();
       }
       if (!more) {
         RRS_CHECK(slab.engine.empty());
         shard.batch_pool.Release(std::move(shard.batch_live[i]));
-        if (ring != nullptr) {
-          ring->RecordAt(now_ns, obs::kFlightSlabClose, shard_tag,
-                         shard.batch_lanes);
-        }
+        record(obs::kFlightSlabClose, shard.batch_lanes);
       } else {
         shard.batch_live[slab_out++] = std::move(shard.batch_live[i]);
       }
     }
     shard.batch_live.resize(slab_out);
     ++shard.stats.ticks;
-    if (ring != nullptr) {
-      ring->RecordAt(now_ns, obs::kFlightTick, shard_tag, shard.stats.ticks);
-    }
+    record(obs::kFlightTick, shard.stats.ticks);
     if (slo != nullptr) slo->Publish(shard_index);
   }
 
@@ -372,10 +316,10 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
   // the tick barrier; a final publish makes their accounting scrapable too.
   if (slo != nullptr) slo->Publish(shard_index);
 
-  shard.stats.sessions_created = shard.replay_pool.created() +
-                                 shard.pipeline_pool.created();
-  shard.stats.sessions_recycled = shard.replay_pool.recycled() +
-                                  shard.pipeline_pool.recycled();
+  shard.stats.sessions_created =
+      host.created() + shard.pipeline_pool.created();
+  shard.stats.sessions_recycled =
+      host.recycled() + shard.pipeline_pool.recycled();
 }
 
 std::vector<RunResult> FleetRunner::RunAll(std::span<const FleetJob> jobs) {
@@ -387,17 +331,11 @@ std::vector<RunResult> FleetRunner::RunAll(std::span<const FleetJob> jobs) {
     options_.slo->Bind(jobs.size(), shards_.size());
   }
 
-  if (options_.pool == nullptr || shards_.size() == 1) {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      RunShard(*shards_[s], jobs, results, s, stride);
-    }
-  } else {
-    ParallelFor(*options_.pool, 0, static_cast<int64_t>(shards_.size()),
-                [&](int64_t s) {
-                  RunShard(*shards_[static_cast<size_t>(s)], jobs, results,
-                           static_cast<size_t>(s), stride);
-                });
-  }
+  ParallelFor(options_.pool, 0, static_cast<int64_t>(shards_.size()),
+              [&](int64_t s) {
+                RunShard(*shards_[static_cast<size_t>(s)], jobs, results,
+                         static_cast<size_t>(s), stride);
+              });
 
   if (options_.scope != nullptr) {
     const FleetStats total = stats();

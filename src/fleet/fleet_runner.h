@@ -11,16 +11,14 @@
 //
 //  - shard → worker affinity: jobs are assigned to shards by index
 //    (j % num_shards) and each shard's state is touched by exactly one
-//    worker per RunAll, so shard-local session pools need no locks;
-//  - pooled session recycling: each shard owns a SessionPool of replay
-//    sessions (Engine + policy) and pipeline sessions; a tenant acquires a
-//    warm session, Reset-binds it, and returns it — after warmup the fleet
+//    worker per RunAll, so shard-local pools need no locks;
+//  - three paths per shard: scalar replay tenants live on the shard's
+//    TenantHost (fleet/tenant_host.h), pooled sessions advanced in round
+//    buckets of `rounds_per_tick`; batch-eligible tenants pack into lane
+//    slabs (fleet/batch_engine.h); pipeline tenants run to completion on a
+//    pooled pipeline session at admission. After warmup the fleet
 //    allocates nothing per tenant at a fixed shape (core/session.h);
-//  - batched round-stepping: live replay sessions advance in round buckets
-//    of `rounds_per_tick` via Engine::StepRounds, interleaving thousands of
-//    concurrent tenants per shard at bounded per-tenant latency (the shape a
-//    real multi-tenant control plane has, and what bench_fleet measures as
-//    sessions/s and rounds/s);
+//  - one set of SLO and flight-recorder callbacks serves all three paths;
 //  - per-shard stats, merged after the sweep and absorbed into the obs
 //    Scope as fleet.* counters.
 //
@@ -37,7 +35,6 @@
 
 #include "core/engine.h"
 #include "core/instance.h"
-#include "core/session.h"
 #include "reduce/pipeline.h"
 #include "sched/dlru_edf.h"
 
@@ -88,6 +85,10 @@ struct FleetJob {
   EngineOptions options;
   Kind kind = Kind::kReplay;
 };
+
+// The job's streaming source, built now: `make_source` if set, else
+// MakeSource(*source_spec). Null for instance-fed jobs.
+std::unique_ptr<workload::ArrivalSource> MakeJobSource(const FleetJob& job);
 
 struct FleetOptions {
   // Worker pool. nullptr runs every shard serially in the caller — the
@@ -173,12 +174,6 @@ class FleetRunner {
   size_t num_shards() const { return shards_.size(); }
 
  private:
-  // A pooled replay session: one engine arena plus one policy, rebound per
-  // tenant.
-  struct ReplaySession {
-    Engine engine;
-    std::unique_ptr<SchedulerPolicy> policy;
-  };
   struct BatchSlab;
   struct Shard;
 

@@ -81,6 +81,14 @@ void ParallelFor(ThreadPool& pool, int64_t begin, int64_t end, Fn&& fn,
   if (first_error) std::rethrow_exception(first_error);
 }
 
+// ParallelFor over an optional pool: a null pool runs every index serially
+// in the caller.
+template <typename Fn>
+void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end, Fn&& fn) {
+  if (pool != nullptr) return ParallelFor(*pool, begin, end, fn);
+  for (int64_t i = begin; i < end; ++i) fn(i);
+}
+
 // Parallel map: out[i] = fn(i) for i in [0, n). Result type must be
 // default-constructible.
 template <typename Result, typename Fn>

@@ -393,6 +393,56 @@ TEST_P(BatchFleetDifferential, BatchedFleetMatchesFreshEngines) {
 INSTANTIATE_TEST_SUITE_P(Threads, BatchFleetDifferential,
                          ::testing::Values(0u, 1u, 2u, 8u));
 
+// The session economy of BatchFleetDifferential's mixed fleet (two shape
+// groups, schedule-recording tenants on scalar fallback sessions), pinned
+// exactly so a change to the tenant lifecycle cannot move it silently; the
+// values hold at any thread count.
+TEST(BatchFleet, SessionEconomyIsPinned) {
+  constexpr size_t kTenants = 32;
+  std::vector<Instance> tenants;
+  for (size_t i = 0; i < kTenants; ++i) {
+    tenants.push_back(BatchTenant(900 + i));
+  }
+  std::vector<fleet::FleetJob> jobs;
+  for (size_t i = 0; i < kTenants; ++i) {
+    fleet::FleetJob job;
+    job.instance = &tenants[i];
+    job.options.num_resources = i % 2 == 0 ? 8 : 4;
+    job.options.cost_model.delta = 2;
+    job.options.record_schedule = i % 7 == 0;
+    jobs.push_back(job);
+  }
+
+  for (size_t threads : {0u, 2u}) {
+    std::unique_ptr<ThreadPool> pool;
+    fleet::FleetOptions options;
+    if (threads > 0) {
+      pool = std::make_unique<ThreadPool>(threads);
+      options.pool = pool.get();
+    }
+    options.num_shards = 3;
+    options.rounds_per_tick = 16;
+    options.batch_width = 8;
+    fleet::FleetRunner runner(std::move(options));
+    runner.RunAll(jobs);
+    const fleet::FleetStats stats = runner.stats();
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_EQ(stats.sessions_created, 5u) << label;
+    EXPECT_EQ(stats.sessions_recycled, 0u) << label;
+    EXPECT_EQ(stats.peak_live_sessions, 11u) << label;
+    EXPECT_EQ(stats.ticks, 21u) << label;
+    EXPECT_EQ(stats.rounds_stepped, 3492u) << label;
+    EXPECT_EQ(stats.batched_sessions, 27u) << label;
+    EXPECT_EQ(stats.fallback_sessions, 5u) << label;
+
+    // A warm rerun is served entirely from recycled sessions.
+    runner.RunAll(jobs);
+    const fleet::FleetStats warm = runner.stats();
+    EXPECT_EQ(warm.sessions_created, 5u) << label;
+    EXPECT_EQ(warm.sessions_recycled, 5u) << label;
+  }
+}
+
 TEST(BatchFleet, LiveCapCountsLanes) {
   constexpr size_t kTenants = 16;
   std::vector<Instance> tenants;

@@ -17,6 +17,7 @@
 #include "obs/scope.h"
 #include "parallel/thread_pool.h"
 #include "sched/registry.h"
+#include "workload/generator_spec.h"
 #include "workload/synthetic.h"
 
 namespace rrs {
@@ -162,6 +163,54 @@ TEST_P(ChaosDifferential, ResultsMatchWithSloAndFlightRecorderEnabled) {
             static_cast<double>(oracle_misses));
 }
 
+// Streaming tenants under the same plan: a checkpoint carries the source's
+// sections after the engine's, so `make_source` and `source_spec` tenants
+// resume exactly on any worker.
+TEST_P(ChaosDifferential, StreamingTenantsMatchFaultFreeRun) {
+  const size_t threads = GetParam();
+  constexpr size_t kTenants = 24;
+  std::vector<workload::GeneratorSpec> specs;
+  for (size_t i = 0; i < kTenants; ++i) {
+    workload::PoissonOptions gen;
+    gen.rounds = 48 + 16 * static_cast<Round>(i % 5);
+    gen.seed = 700 + i;
+    specs.push_back(workload::PoissonSpec(
+        {{1, 0.4}, {2, 0.5}, {4, 0.5}, {8, 0.4}, {16, 0.3}}, gen));
+  }
+  std::vector<fleet::FleetJob> jobs(kTenants);
+  for (size_t i = 0; i < kTenants; ++i) {
+    if (i % 2 == 0) {
+      jobs[i].make_source = [&specs, i] {
+        return workload::MakeSource(specs[i]);
+      };
+    } else {
+      jobs[i].source_spec = &specs[i];
+    }
+    jobs[i].options.num_resources = 8;
+    jobs[i].options.cost_model.delta = 2 + static_cast<uint64_t>(i % 3);
+  }
+  fleet::FleetOptions oracle_options;
+  oracle_options.num_shards = 1;
+  std::vector<RunResult> oracle =
+      fleet::FleetRunner(oracle_options).RunAll(jobs);
+
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+  fleet::ChaosFleetRunner runner(AggressiveChaos(pool.get()));
+  std::vector<RunResult> chaotic = runner.RunAll(jobs);
+
+  ASSERT_EQ(chaotic.size(), oracle.size());
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    ExpectSameRunResult(chaotic[i], oracle[i],
+                        "streaming tenant " + std::to_string(i) +
+                            " threads=" + std::to_string(threads));
+  }
+  const fleet::ChaosStats stats = runner.stats();
+  EXPECT_GT(stats.kills, 0u) << "threads=" << threads;
+  EXPECT_GT(stats.restores, 0u) << "threads=" << threads;
+  EXPECT_EQ(stats.sessions_completed, kTenants);
+}
+
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ChaosDifferential,
                          ::testing::Values(0, 1, 2, 8),
                          [](const auto& info) {
@@ -192,6 +241,32 @@ TEST(ChaosFleet, FaultPlanIsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.noop_faults, b.noop_faults);
   EXPECT_EQ(a.snapshot_words, b.snapshot_words);
   EXPECT_EQ(a.rounds_stepped, b.rounds_stepped);
+}
+
+// Every ChaosStats field of the AggressiveChaos plan over ChaosDifferential's
+// fleet, pinned exactly so a change to the tenant lifecycle cannot move it
+// silently; the values hold at any thread count.
+TEST(ChaosFleet, StatsArePinned) {
+  Workload w = MakeWorkload(24);
+  for (size_t threads : {0u, 2u}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    fleet::ChaosFleetRunner runner(AggressiveChaos(pool.get()));
+    runner.RunAll(w.jobs);
+    const fleet::ChaosStats stats = runner.stats();
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_EQ(stats.ticks, 22u) << label;
+    EXPECT_EQ(stats.kills, 4u) << label;
+    EXPECT_EQ(stats.evictions, 14u) << label;
+    EXPECT_EQ(stats.delayed_restores, 4u) << label;
+    EXPECT_EQ(stats.rebalances, 0u) << label;
+    EXPECT_EQ(stats.restores, 35u) << label;
+    EXPECT_EQ(stats.migrations, 32u) << label;
+    EXPECT_EQ(stats.noop_faults, 13u) << label;
+    EXPECT_EQ(stats.snapshot_words, 7578u) << label;
+    EXPECT_EQ(stats.sessions_completed, 24u) << label;
+    EXPECT_EQ(stats.rounds_stepped, 2224u) << label;
+  }
 }
 
 // Per-shard SLO state — including which window each miss landed in and the

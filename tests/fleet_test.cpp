@@ -238,6 +238,54 @@ TEST(FleetRunner, LiveSessionCapBoundsConcurrency) {
   EXPECT_LE(stats.sessions_created, 3u);
 }
 
+// The session economy of FleetDifferential's replay fleet — pool growth,
+// recycling, peak concurrency, ticks and rounds — pinned exactly so a
+// change to the tenant lifecycle cannot move it silently; the values hold
+// at any thread count.
+TEST(FleetRunner, SessionEconomyIsPinned) {
+  constexpr size_t kTenants = 24;
+  std::vector<Instance> tenants;
+  std::vector<fleet::FleetJob> jobs;
+  for (size_t i = 0; i < kTenants; ++i) {
+    tenants.push_back(FleetTenant(100 + i));
+  }
+  for (size_t i = 0; i < kTenants; ++i) {
+    fleet::FleetJob job;
+    job.instance = &tenants[i];
+    job.options.num_resources = i % 2 == 0 ? 8 : 4;
+    job.options.cost_model.delta = 2 + static_cast<uint64_t>(i % 3);
+    jobs.push_back(job);
+  }
+
+  for (size_t threads : {0u, 2u}) {
+    std::unique_ptr<ThreadPool> pool;
+    fleet::FleetOptions options;
+    if (threads > 0) {
+      pool = std::make_unique<ThreadPool>(threads);
+      options.pool = pool.get();
+    }
+    options.num_shards = 3;
+    options.rounds_per_tick = 16;
+    fleet::FleetRunner runner(std::move(options));
+    runner.RunAll(jobs);
+    const fleet::FleetStats stats = runner.stats();
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_EQ(stats.sessions_created, 24u) << label;
+    EXPECT_EQ(stats.sessions_recycled, 0u) << label;
+    EXPECT_EQ(stats.peak_live_sessions, 8u) << label;
+    EXPECT_EQ(stats.ticks, 21u) << label;
+    EXPECT_EQ(stats.rounds_stepped, 2600u) << label;
+    EXPECT_EQ(stats.batched_sessions, 0u) << label;
+    EXPECT_EQ(stats.fallback_sessions, 0u) << label;
+
+    // A warm rerun is served entirely from recycled sessions.
+    runner.RunAll(jobs);
+    const fleet::FleetStats warm = runner.stats();
+    EXPECT_EQ(warm.sessions_created, 24u) << label;
+    EXPECT_EQ(warm.sessions_recycled, 24u) << label;
+  }
+}
+
 // ---- Pipeline session reuse ----------------------------------------------
 
 TEST(PipelineSession, ReusedSessionMatchesFreeFunction) {

@@ -1,4 +1,4 @@
-// Tests for src/parallel: ThreadPool, ParallelFor, SpscQueue.
+// Tests for src/parallel: ThreadPool, ParallelFor.
 #include <atomic>
 #include <new>
 #include <numeric>
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "parallel/parallel_for.h"
-#include "parallel/spsc_queue.h"
 #include "parallel/thread_pool.h"
 
 namespace rrs {
@@ -192,50 +191,6 @@ TEST(ParallelMap, ComputesAllValues) {
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], static_cast<int64_t>(i) * 2);
   }
-}
-
-TEST(SpscQueue, FifoSingleThread) {
-  SpscQueue<int> q(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.TryPush(i));
-  int out;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(q.TryPop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(q.TryPop(out));
-}
-
-TEST(SpscQueue, FullRejectsPush) {
-  SpscQueue<int> q(2);  // capacity rounds up; fill until rejection
-  int pushed = 0;
-  while (q.TryPush(pushed)) ++pushed;
-  EXPECT_GE(pushed, 2);
-  int out;
-  ASSERT_TRUE(q.TryPop(out));
-  EXPECT_EQ(out, 0);
-  EXPECT_TRUE(q.TryPush(99));  // space freed
-}
-
-TEST(SpscQueue, TwoThreadStressPreservesOrderAndCount) {
-  SpscQueue<uint64_t> q(1024);
-  constexpr uint64_t kCount = 200000;
-  std::thread producer([&] {
-    for (uint64_t i = 0; i < kCount; ++i) {
-      while (!q.TryPush(i)) std::this_thread::yield();
-    }
-  });
-  uint64_t expected = 0;
-  while (expected < kCount) {
-    uint64_t v;
-    if (q.TryPop(v)) {
-      ASSERT_EQ(v, expected);
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(q.Empty());
 }
 
 TEST(GlobalThreadPool, IsSingleton) {
