@@ -5,17 +5,28 @@
 // per cell:
 //
 //   rounds_per_sec     aggregate simulated rounds per second across all
-//                      workers (DistStats.rounds_stepped / Run wall time)
-//   sessions_per_sec   tenants fully served per second
+//                      workers (DistStats.rounds_stepped / Run wall time),
+//                      the median over the cell's samples, with
+//                      rounds_per_sec_min / rounds_per_sec_max beside it
+//   sessions_per_sec   tenants fully served per second (median sample)
+//   timed_s            Run wall time per sample (median)
+//   lifetimes          fleet lifetimes per sample
 //   workers            worker process count
 //   usable_cpus        std::thread::hardware_concurrency() at run time
+//
+// Timing discipline: every cell first runs one untimed warm-up lifetime,
+// then takes its samples interleaved with the other cells'. A sample
+// repeats whole lifetimes (fork, place, Run, reap) until at least one
+// second of Run time has accumulated and divides the rounds by that time,
+// so a cell's spread comes from the machine, not from timer granularity
+// over a sub-second run. Smoke mode takes one one-lifetime sample.
 //
 // The headline claim is linear scaling: the 2-worker cell names the
 // 1-worker cell via "scaling_ref" and stamps "scaling_gate": 1.7 — its
 // aggregate rounds/s must reach >= 1.7x the 1-worker cell's. The ratio is
-// recorded as "measured_scaling": the median over *interleaved* runs
-// (1w, 2w, 1w, 2w, ...), so machine drift lands on both sides and divides
-// out. tools/bench_compare.py enforces the gate only when the current
+// recorded as "measured_scaling": the median ratio over *interleaved*
+// samples (1w, 2w, 4w, 1w, 2w, 4w, ...), so machine drift lands on both
+// sides and divides out. tools/bench_compare.py enforces the gate only when the current
 // report's usable_cpus can actually host the workers (>= workers); on a
 // 1-CPU box the processes timeshare one core, scaling is structurally ~1x,
 // and the tool skips the gate loudly instead of failing on physics.
@@ -53,8 +64,8 @@ double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-// RRS_BENCH_SMOKE=1: one interleaved run per cell instead of three — the
-// tier-1 smoke run that proves every cell still executes and emits its
+// RRS_BENCH_SMOKE=1: one one-lifetime sample per cell instead of five
+// one-second samples — the tier-1 smoke run that proves every cell still executes and emits its
 // metrics; numbers are only ever checked for shape (bench_compare.py
 // --shape-only), never gated.
 bool SmokeMode() {
@@ -97,23 +108,46 @@ struct DistCell {
   double scaling_gate = 0;         // 0 = informational
 };
 
+// Timed work per sample (see the header comment).
+double MinSampleSeconds() { return SmokeMode() ? 0.0 : 1.0; }
+
+// What one or more lifetimes ran, and their Run wall time.
+struct Work {
+  uint64_t rounds = 0;
+  uint64_t completed = 0;
+  uint64_t migrations = 0;
+  double seconds = 0;
+  int lifetimes = 0;
+
+  void Add(const Work& other) {
+    rounds += other.rounds;
+    completed += other.completed;
+    migrations += other.migrations;
+    seconds += other.seconds;
+    lifetimes += other.lifetimes;
+  }
+  double rounds_per_sec() const { return rounds / seconds; }
+};
+
 struct DistCellResult {
   std::string name;
   size_t workers = 0;
-  double rounds_per_sec = 0;
-  double sessions_per_sec = 0;
+  std::vector<Work> samples;
   double measured_scaling = -1;
   double scaling_gate = 0;
   std::string scaling_ref;
-  double migrations_per_sec = -1;
-  double wall_s = 0;
+  bool migrates = false;
 };
 
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
 // One full fleet lifecycle: fork workers, place tenants, tick to
-// completion, reap. Returns aggregate rounds/s; Start/AddJobs/Shutdown are
-// excluded from the timed region (Run is the steady state being gated).
-double RunOnce(const DistCell& cell, const std::vector<rrs::Instance>& pool,
-               DistCellResult& out) {
+// completion, reap. Start/AddJobs/Shutdown are excluded from the timed
+// region (Run is the steady state being gated).
+Work RunLifetime(const DistCell& cell, const std::vector<rrs::Instance>& pool) {
   rrs::fleet::dist::DistOptions options;
   options.num_workers = cell.workers;
   options.worker.rounds_per_tick = cell.rounds_per_tick;
@@ -150,20 +184,23 @@ double RunOnce(const DistCell& cell, const std::vector<rrs::Instance>& pool,
   controller.Run();
   const auto stop = Clock::now();
   const rrs::fleet::dist::DistStats& stats = controller.stats();
-  const double elapsed = Seconds(start, stop);
-  const double rps = static_cast<double>(stats.rounds_stepped) / elapsed;
-  const double sps = static_cast<double>(stats.completed) / elapsed;
-  if (rps > out.rounds_per_sec) {
-    out.rounds_per_sec = rps;
-    out.sessions_per_sec = sps;
-    out.wall_s = elapsed;
-    if (cell.migrate_every_tick) {
-      out.migrations_per_sec =
-          static_cast<double>(stats.migrations) / elapsed;
-    }
-  }
+  Work work;
+  work.rounds = stats.rounds_stepped;
+  work.completed = stats.completed;
+  work.migrations = stats.migrations;
+  work.seconds = Seconds(start, stop);
+  work.lifetimes = 1;
   controller.Shutdown();
-  return rps;
+  return work;
+}
+
+// One sample: lifetimes until MinSampleSeconds() of Run time accumulate.
+Work RunSample(const DistCell& cell, const std::vector<rrs::Instance>& pool) {
+  Work sample;
+  do {
+    sample.Add(RunLifetime(cell, pool));
+  } while (sample.seconds < MinSampleSeconds());
+  return sample;
 }
 
 }  // namespace
@@ -209,13 +246,13 @@ int main(int argc, char** argv) {
     DistCellResult out;
     out.name = cell.name;
     out.workers = cell.workers;
-    RunOnce(cell, pool, out);
+    out.samples.push_back(RunLifetime(cell, pool));
     results.push_back(std::move(out));
   } else {
-    // Gate cells: identical tenants at 1/2/4 workers. Runs interleave
-    // (1w, 2w, 4w, 1w, 2w, 4w, ...) so every scaling ratio pairs runs that
-    // shared the machine's noise environment.
-    const int kIters = SmokeMode() ? 1 : 3;
+    // Gate cells: identical tenants at 1/2/4 workers. Samples interleave
+    // (1w, 2w, 4w, 1w, 2w, 4w, ...) so every scaling ratio pairs samples
+    // that shared the machine's noise environment.
+    const int kIters = SmokeMode() ? 1 : 5;
     DistCell one{"dist/1worker", 1};
     DistCell two{"dist/2workers", 2};
     two.scaling_ref = "dist/1worker";
@@ -225,7 +262,6 @@ int main(int argc, char** argv) {
     const DistCell* cells[] = {&one, &two, &four};
     const std::vector<rrs::Instance> pool = MakeTenantPool(one.rounds);
     results.resize(3);
-    std::vector<std::vector<double>> rates(3);
     for (size_t i = 0; i < 3; ++i) {
       results[i].name = cells[i]->name;
       results[i].workers = cells[i]->workers;
@@ -234,43 +270,70 @@ int main(int argc, char** argv) {
         results[i].scaling_ref = cells[i]->scaling_ref;
       }
     }
+    // Migration-cost cell: the fleet rebalances at every barrier.
+    DistCell migration{"dist/migration", 2, 512, 32, 8};
+    migration.migrate_every_tick = true;
+    const DistCell* all[] = {&one, &two, &four, &migration};
+    results.emplace_back();
+    results[3].name = migration.name;
+    results[3].workers = migration.workers;
+    results[3].migrates = true;
+
+    for (const DistCell* cell : all) RunLifetime(*cell, pool);  // warm-up
     for (int w = 0; w < kIters; ++w) {
-      for (size_t i = 0; i < 3; ++i) {
-        rates[i].push_back(RunOnce(*cells[i], pool, results[i]));
+      for (size_t i = 0; i < 4; ++i) {
+        results[i].samples.push_back(RunSample(*all[i], pool));
       }
     }
     for (size_t i = 1; i < 3; ++i) {
       std::vector<double> ratios;
       for (int w = 0; w < kIters; ++w) {
-        if (rates[0][w] > 0) ratios.push_back(rates[i][w] / rates[0][w]);
+        ratios.push_back(results[i].samples[w].rounds_per_sec() /
+                         results[0].samples[w].rounds_per_sec());
       }
-      if (!ratios.empty()) {
-        std::sort(ratios.begin(), ratios.end());
-        results[i].measured_scaling = ratios[ratios.size() / 2];
-      }
+      results[i].measured_scaling = Median(ratios);
     }
-
-    // Migration-cost cell: the fleet rebalances at every barrier.
-    DistCell migration{"dist/migration", 2, 512, 32, 8};
-    migration.migrate_every_tick = true;
-    DistCellResult out;
-    out.name = migration.name;
-    out.workers = migration.workers;
-    for (int w = 0; w < kIters; ++w) RunOnce(migration, pool, out);
-    results.push_back(std::move(out));
   }
 
+  // Per-cell sample statistics: median, min and max rounds/s; the other
+  // rates and times are sample medians.
+  struct Summary {
+    double rps = 0, rps_min = 0, rps_max = 0, sps = 0, mps = 0, timed_s = 0;
+    int lifetimes = 0;
+  };
+  std::vector<Summary> summaries;
   for (const DistCellResult& r : results) {
-    std::printf("%-20s %zu workers %14.0f rounds/s %12.0f sessions/s",
-                r.name.c_str(), r.workers, r.rounds_per_sec,
-                r.sessions_per_sec);
+    std::vector<double> rps, sps, mps, timed;
+    for (const Work& w : r.samples) {
+      rps.push_back(w.rounds_per_sec());
+      sps.push_back(w.completed / w.seconds);
+      mps.push_back(w.migrations / w.seconds);
+      timed.push_back(w.seconds);
+    }
+    Summary sum;
+    sum.rps = Median(rps);
+    sum.rps_min = *std::min_element(rps.begin(), rps.end());
+    sum.rps_max = *std::max_element(rps.begin(), rps.end());
+    sum.sps = Median(sps);
+    sum.mps = Median(mps);
+    sum.timed_s = Median(timed);
+    sum.lifetimes = r.samples.front().lifetimes;
+    summaries.push_back(sum);
+  }
+
+  for (size_t i = 0; i < results.size(); ++i) {
+    const DistCellResult& r = results[i];
+    const Summary& sum = summaries[i];
+    std::printf("%-20s %zu workers %12.0f rounds/s [%.0f, %.0f] "
+                "%10.0f sessions/s",
+                r.name.c_str(), r.workers, sum.rps, sum.rps_min, sum.rps_max,
+                sum.sps);
     if (r.measured_scaling >= 0) {
       std::printf("  %.2fx of %s", r.measured_scaling, r.scaling_ref.c_str());
     }
-    if (r.migrations_per_sec >= 0) {
-      std::printf("  %.0f migrations/s", r.migrations_per_sec);
-    }
-    std::printf("  (%.2fs)\n", r.wall_s);
+    if (r.migrates) std::printf("  %.0f migrations/s", sum.mps);
+    std::printf("  (%zu x %.2fs, %d lifetimes each)\n", r.samples.size(),
+                sum.timed_s, sum.lifetimes);
   }
   std::printf("usable cpus: %u\n", usable_cpus);
 
@@ -282,12 +345,15 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n  \"benchmarks\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const DistCellResult& r = results[i];
+    const Summary& sum = summaries[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"workers\": %zu, "
                  "\"usable_cpus\": %u, \"rounds_per_sec\": %.1f, "
-                 "\"sessions_per_sec\": %.1f",
-                 r.name.c_str(), r.workers, usable_cpus, r.rounds_per_sec,
-                 r.sessions_per_sec);
+                 "\"rounds_per_sec_min\": %.1f, \"rounds_per_sec_max\": %.1f, "
+                 "\"sessions_per_sec\": %.1f, \"timed_s\": %.3f, "
+                 "\"lifetimes\": %d",
+                 r.name.c_str(), r.workers, usable_cpus, sum.rps, sum.rps_min,
+                 sum.rps_max, sum.sps, sum.timed_s, sum.lifetimes);
     if (!r.scaling_ref.empty()) {
       std::fprintf(f, ", \"scaling_ref\": \"%s\"", r.scaling_ref.c_str());
       if (r.scaling_gate > 0) {
@@ -297,8 +363,8 @@ int main(int argc, char** argv) {
         std::fprintf(f, ", \"measured_scaling\": %.4f", r.measured_scaling);
       }
     }
-    if (r.migrations_per_sec >= 0) {
-      std::fprintf(f, ", \"migrations_per_sec\": %.1f", r.migrations_per_sec);
+    if (r.migrates) {
+      std::fprintf(f, ", \"migrations_per_sec\": %.1f", sum.mps);
     }
     std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
   }

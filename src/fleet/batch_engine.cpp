@@ -157,13 +157,15 @@ bool BatchEngine::lane_done(uint32_t lane) const {
   return lane_open(lane) && next_round_ > lanes_[lane].horizon;
 }
 
+bool BatchEngine::Batchable(const EngineOptions& options) {
+  return !options.record_schedule && options.obs_scope == nullptr &&
+         options.num_resources >= 1 && options.mini_rounds_per_round >= 1 &&
+         options.cost_model.delta >= 1;
+}
+
 bool BatchEngine::LaneCompatible(const Instance& instance,
                                  const EngineOptions& options) const {
-  if (options.record_schedule || options.obs_scope != nullptr) return false;
-  if (options.num_resources < 1 || options.mini_rounds_per_round < 1 ||
-      options.cost_model.delta < 1) {
-    return false;
-  }
+  if (!Batchable(options)) return false;
   if (open_mask_ == 0) return true;  // an empty slab adopts any shape
   if (instance.num_colors() != num_colors_ ||
       options.num_resources != num_resources_ ||
@@ -534,6 +536,11 @@ void BatchEngine::FinishLane(uint32_t lane, RunResult& result) {
 const CostBreakdown& BatchEngine::lane_cost(uint32_t lane) const {
   RRS_CHECK(lane_open(lane)) << "lane_cost on a free lane";
   return lanes_[lane].cost;
+}
+
+uint64_t BatchEngine::lane_executed(uint32_t lane) const {
+  RRS_CHECK(lane_open(lane)) << "lane_executed on a free lane";
+  return lanes_[lane].executed;
 }
 
 Round BatchEngine::lane_rounds(uint32_t lane) const {

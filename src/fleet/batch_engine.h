@@ -74,9 +74,12 @@ class BatchEngine {
   // An open lane whose horizon is exhausted (ready for FinishLane).
   bool lane_done(uint32_t lane) const;
 
-  // Whether a tenant can join the slab: batchable options (no schedule
-  // recording, no obs scope) and, unless the slab is empty (an empty slab
-  // adopts any shape), the slab's exact shape.
+  // Whether a slab can run a tenant with these options at all: no schedule
+  // recording, no obs scope, and a well-formed resource/mini-round/Δ setup.
+  static bool Batchable(const EngineOptions& options);
+
+  // Whether a tenant can join the slab: batchable options and, unless the
+  // slab is empty (an empty slab adopts any shape), the slab's exact shape.
   bool LaneCompatible(const Instance& instance,
                       const EngineOptions& options) const;
 
@@ -131,6 +134,8 @@ class BatchEngine {
   // ---- Mid-run observation hooks (SLO tracking) --------------------------
   // The lane's cost accumulated so far; valid while the lane is open.
   const CostBreakdown& lane_cost(uint32_t lane) const;
+  // Jobs the lane has executed so far; valid while the lane is open.
+  uint64_t lane_executed(uint32_t lane) const;
   // Rounds the lane has actually advanced: the slab round clamped to the
   // lane's own horizon (a done lane stops participating in lock-step).
   Round lane_rounds(uint32_t lane) const;

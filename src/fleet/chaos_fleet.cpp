@@ -35,10 +35,10 @@ void ChaosStats::MergeFrom(const ChaosStats& other) {
 // here is synchronized.
 struct ChaosFleetRunner::Worker {
   Worker(const ChaosOptions& options, size_t worker_index)
-      : index(worker_index), host(options.policy_factory) {}
+      : index(worker_index), host(options.policy_factory, 0) {}
 
   const size_t index;
-  TenantHost host;                   // keyed by job index
+  TenantHost host;                   // keyed by job index; scalar only
   std::vector<size_t> waiting;       // job indices, admission order
   std::vector<Checkpoint> incoming;  // restored when delay_ticks reaches 0
   ChaosStats stats;                  // worker-side events (restores, steps)
@@ -103,7 +103,7 @@ void ChaosFleetRunner::TickWorker(Worker& worker,
   size_t admitted = 0;
   while (admitted < worker.waiting.size() &&
          (options_.max_live_sessions == 0 ||
-          worker.host.live().size() < options_.max_live_sessions)) {
+          worker.host.size() < options_.max_live_sessions)) {
     const size_t job_index = worker.waiting[admitted++];
     const FleetJob& job = jobs[job_index];
     worker.host.Admit(job_index, job.instance, MakeJobSource(job),
@@ -118,21 +118,20 @@ void ChaosFleetRunner::TickWorker(Worker& worker,
   worker.host.set_trace(tracer, options_.trace_label);
   worker.stats.rounds_stepped += worker.host.Step(
       options_.rounds_per_tick,
-      [&](const TenantHost::Tenant& tenant) {
-        const Engine& engine = tenant.engine();
+      [&](const TenantHost::TenantView& tenant) {
         if (slo != nullptr &&
             slo->Observe(worker.index, tenant.key,
-                         static_cast<uint64_t>(engine.next_round()),
-                         engine.run_cost().drops) > 0) {
+                         static_cast<uint64_t>(tenant.next_round),
+                         tenant.cost.drops) > 0) {
           record(obs::kFlightSloExhausted, tenant.key);
         }
       },
-      [&](const TenantHost::Tenant& tenant, RunResult& result) {
+      [&](const TenantHost::TenantView& tenant, RunResult& result) {
         const size_t job_index = tenant.key;
         results[job_index] = std::move(result);
         ++worker.stats.sessions_completed;
         if (slo != nullptr &&
-            slo->Finish(worker.index, job_index, tenant.engine().instance(),
+            slo->Finish(worker.index, job_index, *tenant.shape,
                         results[job_index]) > 0) {
           record(obs::kFlightSloExhausted, job_index);
         }
@@ -163,7 +162,7 @@ bool ChaosFleetRunner::InjectFaults() {
   auto checkpoint = [&](Worker& worker, size_t live_index,
                         uint32_t delay_ticks) {
     Checkpoint cp;
-    cp.job_index = worker.host.live()[live_index].key;
+    cp.job_index = worker.host.view(live_index).key;
     cp.delay_ticks = delay_ticks;
     cp.from_worker = worker.index;
     cp.words = worker.host.Checkpoint(live_index);
@@ -175,7 +174,7 @@ bool ChaosFleetRunner::InjectFaults() {
   if (num_workers > 1 && plan_rng_.Bernoulli(options_.kill_worker_prob)) {
     const size_t victim = plan_rng_.NextBounded(num_workers);
     Worker& worker = *workers_[victim];
-    const size_t live = worker.host.live().size();
+    const size_t live = worker.host.size();
     if (live == 0) {
       ++stats_.noop_faults;
     } else {
@@ -202,15 +201,15 @@ bool ChaosFleetRunner::InjectFaults() {
   if (plan_rng_.Bernoulli(options_.evict_prob)) {
     size_t total_live = 0;
     for (const auto& worker : workers_) {
-      total_live += worker->host.live().size();
+      total_live += worker->host.size();
     }
     if (total_live == 0) {
       ++stats_.noop_faults;
     } else {
       size_t pick = plan_rng_.NextBounded(total_live);
       size_t source = 0;
-      while (pick >= workers_[source]->host.live().size()) {
-        pick -= workers_[source]->host.live().size();
+      while (pick >= workers_[source]->host.size()) {
+        pick -= workers_[source]->host.size();
         ++source;
       }
       uint32_t delay = 0;
@@ -222,7 +221,7 @@ bool ChaosFleetRunner::InjectFaults() {
       }
       const size_t target = plan_rng_.NextBounded(num_workers);
       Worker& worker = *workers_[source];
-      const uint64_t job_index = worker.host.live()[pick].key;
+      const uint64_t job_index = worker.host.view(pick).key;
       obs::Span span(tracer, track, "fleet.chaos.evict", job_index);
       if (ring != nullptr) {
         ring->Record(obs::kFlightEvict, static_cast<uint32_t>(source),
@@ -262,7 +261,7 @@ bool ChaosFleetRunner::InjectFaults() {
   }
 
   for (const auto& worker : workers_) {
-    if (!worker->host.live().empty() || !worker->waiting.empty() ||
+    if (!worker->host.empty() || !worker->waiting.empty() ||
         !worker->incoming.empty()) {
       return true;
     }

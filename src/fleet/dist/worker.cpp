@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -120,7 +121,11 @@ class Worker {
     };
     const size_t num_shards = std::max<uint32_t>(1, config_.threads);
     hosts_.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) hosts_.emplace_back(factory);
+    // Every host packs batchable tenants into full-width lane slabs: lanes
+    // are bit-identical to scalar sessions, so the width needs no knob.
+    for (size_t s = 0; s < num_shards; ++s) {
+      hosts_.emplace_back(factory, BatchEngine::kMaxLanes);
+    }
     slices_.resize(num_shards);
     if (config_.threads > 0) {
       pool_ = std::make_unique<ThreadPool>(config_.threads);
@@ -191,18 +196,25 @@ class Worker {
     return &it->second;
   }
 
-  // Instantiates a streaming tenant's source from the shipped spec table
-  // (null for instance-fed tenants). The spec is deterministic, so every
-  // instantiation — admission here, restore on a migration target — yields
+  // A streaming tenant's source (null for instance-fed tenants): a Clone of
+  // the one prototype per shipped spec, built from the spec at the id's
+  // first admission or restore — not in AddSources, which would hold up the
+  // controller's AddJobs. A clone copies the prototype's precomputed stats
+  // instead of rescanning the generator, and the spec is deterministic, so
+  // every clone — admission here, restore on a migration target — yields
   // the same stream.
-  std::unique_ptr<workload::ArrivalSource> SourceOf(
-      const TenantSpec& spec) const {
+  std::unique_ptr<workload::ArrivalSource> SourceOf(const TenantSpec& spec) {
     if (spec.source_id == kNoSourceId) return nullptr;
-    const auto it = sources_.find(spec.source_id);
-    RRS_CHECK(it != sources_.end())
-        << "tenant " << spec.tenant << " references unknown source "
-        << spec.source_id;
-    return workload::MakeSource(it->second);
+    std::unique_ptr<workload::ArrivalSource>& prototype =
+        prototypes_[spec.source_id];
+    if (prototype == nullptr) {
+      const auto it = sources_.find(spec.source_id);
+      RRS_CHECK(it != sources_.end())
+          << "tenant " << spec.tenant << " references unknown source "
+          << spec.source_id;
+      prototype = workload::MakeSource(it->second);
+    }
+    return prototype->Clone();
   }
 
   void HandleTick(snapshot::Reader& reader) {
@@ -212,7 +224,7 @@ class Worker {
     // ---- Admit: bind waiting tenants to shard hosts, round-robin over
     // shards in admission order, up to the worker-wide live cap. ----
     size_t total_live = 0;
-    for (const TenantHost& host : hosts_) total_live += host.live().size();
+    for (const TenantHost& host : hosts_) total_live += host.size();
     size_t admitted = 0;
     while (admitted < waiting_.size() &&
            (config_.max_live_sessions == 0 ||
@@ -246,7 +258,7 @@ class Worker {
     for (size_t s = 0; s < hosts_.size(); ++s) {
       TickReport& slice = slices_[s];
       report.rounds_stepped += slice.rounds_stepped;
-      report.live += hosts_[s].live().size();
+      report.live += hosts_[s].size();
       std::move(slice.completed.begin(), slice.completed.end(),
                 std::back_inserter(report.completed));
       report.slo.insert(report.slo.end(), slice.slo.begin(), slice.slo.end());
@@ -271,13 +283,24 @@ class Worker {
     stats_.sessions_completed += report.completed.size();
     stats_.snapshots += report.checkpoints.size();
     if (scope_ != nullptr) {
+      // The hosts' lane counters are cumulative; the scope takes deltas.
+      std::array<uint64_t, 3> lanes{};
+      for (const TenantHost& host : hosts_) {
+        lanes[0] += host.batched();
+        lanes[1] += host.lane_rounds();
+        lanes[2] += host.slab_rounds();
+      }
       const std::pair<std::string_view, uint64_t> counters[] = {
           {"dist.worker.ticks", 1},
           {"dist.worker.rounds_stepped", report.rounds_stepped},
           {"dist.worker.completed", report.completed.size()},
           {"dist.worker.checkpoints", report.checkpoints.size()},
+          {"dist.worker.batched_sessions", lanes[0] - absorbed_lanes_[0]},
+          {"dist.worker.lane_rounds", lanes[1] - absorbed_lanes_[1]},
+          {"dist.worker.slab_rounds", lanes[2] - absorbed_lanes_[2]},
       };
       scope_->AbsorbCounters(counters);
+      absorbed_lanes_ = lanes;
       scope_->AbsorbGauge("dist.worker.live",
                           static_cast<double>(report.live));
       scope_->AbsorbGauge("dist.worker.waiting",
@@ -297,7 +320,8 @@ class Worker {
     slice.trace.clear();
     slice.checkpoints.clear();
     slice.rounds_stepped = 0;
-    auto completed = [&](const TenantHost::Tenant& tenant, RunResult& result) {
+    auto completed = [&](const TenantHost::TenantView& tenant,
+                         RunResult& result) {
       TenantResult& done = slice.completed.emplace_back();
       done.tenant = tenant.key;
       done.result = std::move(result);
@@ -314,37 +338,31 @@ class Worker {
       // fold the golden-trace digests hash, resumable across migrations
       // because every row carries its round. The report's stable sort by
       // tenant regroups each tenant's rows in round order.
-      auto row = [&](const TenantHost::Tenant& tenant,
-                     const CostBreakdown& cost, uint64_t executed) {
+      auto row = [&](const TenantHost::TenantView& tenant) {
         slice.trace.push_back(
-            {tenant.key, static_cast<uint64_t>(tenant.engine().next_round()),
-             cost.reconfigurations, cost.drops, cost.weighted_drops,
-             executed});
+            {tenant.key, static_cast<uint64_t>(tenant.next_round),
+             tenant.cost.reconfigurations, tenant.cost.drops,
+             tenant.cost.weighted_drops, tenant.executed});
       };
       for (Round r = 0; r < config_.rounds_per_tick; ++r) {
         slice.rounds_stepped += host.Step(
-            1,
-            [&](const TenantHost::Tenant& tenant) {
-              const Engine& engine = tenant.engine();
-              row(tenant, engine.run_cost(), engine.run_executed());
-            },
-            [&](const TenantHost::Tenant& tenant, RunResult& result) {
-              row(tenant, result.cost, result.executed);
+            1, row,
+            [&](const TenantHost::TenantView& tenant, RunResult& result) {
+              row(tenant);
               completed(tenant, result);
             });
       }
     } else {
       slice.rounds_stepped += host.Step(
-          config_.rounds_per_tick, [](const TenantHost::Tenant&) {},
+          config_.rounds_per_tick, [](const TenantHost::TenantView&) {},
           completed);
     }
     // SLO rows and checkpoints: one pass over the tenants still live.
-    for (size_t i = 0; i < host.live().size(); ++i) {
-      const TenantHost::Tenant& tenant = host.live()[i];
-      const Engine& engine = tenant.engine();
-      const uint64_t round = static_cast<uint64_t>(engine.next_round());
+    for (size_t i = 0; i < host.size(); ++i) {
+      const TenantHost::TenantView tenant = host.view(i);
+      const uint64_t round = static_cast<uint64_t>(tenant.next_round);
       if (config_.report_slo) {
-        slice.slo.push_back({tenant.key, round, engine.run_cost().drops});
+        slice.slo.push_back({tenant.key, round, tenant.cost.drops});
       }
       if (checkpoint) {
         slice.checkpoints.push_back({tenant.key, round, host.Checkpoint(i)});
@@ -357,13 +375,11 @@ class Worker {
   // kTenantMissing.
   uint64_t Locate(uint64_t tenant, TenantHost** host, size_t* index) {
     for (TenantHost& candidate : hosts_) {
-      const auto live = candidate.live();
-      for (size_t i = 0; i < live.size(); ++i) {
-        if (live[i].key != tenant) continue;
-        *host = &candidate;
-        *index = i;
-        return kTenantLive;
-      }
+      const size_t i = candidate.Find(tenant);
+      if (i == candidate.size()) continue;
+      *host = &candidate;
+      *index = i;
+      return kTenantLive;
     }
     const auto it = std::find_if(
         waiting_.begin(), waiting_.end(),
@@ -380,8 +396,8 @@ class Worker {
     size_t index = 0;
     out.state = Locate(out.checkpoint.tenant, &host, &index);
     if (out.state == kTenantLive) {
-      const Engine& engine = host->live()[index].engine();
-      out.checkpoint.round = static_cast<uint64_t>(engine.next_round());
+      out.checkpoint.round =
+          static_cast<uint64_t>(host->view(index).next_round);
       out.checkpoint.words = host->Checkpoint(index);
       host->Evict(index);
       ++stats_.snapshots;
@@ -418,9 +434,9 @@ class Worker {
     size_t index = 0;
     info.state = Locate(info.tenant, &host, &index);
     if (info.state == kTenantLive) {
-      const Engine& engine = host->live()[index].engine();
-      info.rounds = static_cast<uint64_t>(engine.next_round());
-      info.misses = engine.run_cost().drops;
+      const TenantHost::TenantView tenant = host->view(index);
+      info.rounds = static_cast<uint64_t>(tenant.next_round);
+      info.misses = tenant.cost.drops;
       host->Evict(index);
     }
     reply_.Clear();
@@ -433,6 +449,7 @@ class Worker {
   WireConfig config_;
   std::map<uint32_t, Instance> instances_;
   std::map<uint32_t, workload::GeneratorSpec> sources_;
+  std::map<uint32_t, std::unique_ptr<workload::ArrivalSource>> prototypes_;
   // One host per shard (keyed by tenant id) and the shard's TickReport
   // slice, merged and sorted by tenant at the barrier.
   std::vector<TenantHost> hosts_;
@@ -443,6 +460,8 @@ class Worker {
   std::unique_ptr<obs::Scope> scope_;
   std::unique_ptr<obs::ExportServer> exporter_;
   WorkerStats stats_;
+  // Host lane counters (batched, lane rounds, slab rounds) as last absorbed.
+  std::array<uint64_t, 3> absorbed_lanes_{};
   snapshot::Writer reply_;
 };
 

@@ -3,9 +3,11 @@
 //
 // WorkerMain is the whole worker — shard TenantHosts (fleet/tenant_host.h)
 // plus an event loop that blocks on RecvFrame and dispatches: Config builds
-// the shards (one host each, policies from the registry, an optional
-// internal ThreadPool, an optional metrics ExportServer);
-// AddInstances/AddTenants/AddSources install work; Tick admits waiting
+// the shards (one host each, packing tenants into 64-lane slabs, policies
+// from the registry, an optional internal ThreadPool, an optional metrics
+// ExportServer); AddInstances/AddTenants/AddSources install work (a
+// streaming tenant's source is a Clone of one prototype per spec, built at
+// the spec's first use); Tick admits waiting
 // tenants up to the live cap, steps every shard's host one round bucket
 // (shards in parallel on the internal pool), and replies with a TickReport
 // carrying completions, per-tenant SLO progress rows, optional per-round

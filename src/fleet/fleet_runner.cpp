@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/session.h"
-#include "fleet/batch_engine.h"
 #include "fleet/slo.h"
 #include "fleet/tenant_host.h"
 #include "obs/flight_recorder.h"
@@ -32,59 +31,20 @@ void FleetStats::MergeFrom(const FleetStats& other) {
   slab_rounds_stepped += other.slab_rounds_stepped;
 }
 
-namespace {
-
-// A tenant the batched engine could take in principle (shape compatibility
-// with a particular slab is checked separately).
-bool BatchEligible(const FleetJob& job) {
-  return job.kind == FleetJob::Kind::kReplay && !job.options.record_schedule &&
-         job.options.obs_scope == nullptr;
-}
-
-}  // namespace
-
-// A pooled slab: one BatchEngine plus one policy per lane (each lane's
-// tenant gets its own policy instance, rebound via Reset inside OpenLane).
-struct FleetRunner::BatchSlab {
-  BatchSlab(uint32_t width,
-            const std::function<std::unique_ptr<SchedulerPolicy>()>& factory)
-      : engine(width) {
-    policies.reserve(width);
-    for (uint32_t lane = 0; lane < width; ++lane) {
-      policies.push_back(factory());
-    }
-    job_index.assign(width, 0);
-    sources.resize(width);
-  }
-
-  BatchEngine engine;
-  std::vector<std::unique_ptr<SchedulerPolicy>> policies;
-  std::vector<size_t> job_index;  // per-lane tenant (valid for open lanes)
-  // Streaming tenants' sources, owned for the lane's lifetime (null for
-  // instance-fed lanes).
-  std::vector<std::unique_ptr<workload::ArrivalSource>> sources;
-};
-
-// Shard-local state: the scalar tenant host, the pipeline and slab pools,
-// and the live slabs. Owned and touched by exactly one worker per RunAll
-// (shard → worker affinity), so nothing here is synchronized.
+// Shard-local state: the tenant host (scalar sessions and lane slabs), the
+// pipeline pool and the shard's stats. Owned and touched by exactly one
+// worker per RunAll (shard → worker affinity), so nothing here is
+// synchronized.
 struct FleetRunner::Shard {
   explicit Shard(const FleetOptions& options)
-      : host(options.policy_factory),
+      : host(options.policy_factory, options.batch_width),
         pipeline_pool([&options] {
           return std::make_unique<reduce::PipelineSession>(
               options.pipeline_params);
-        }),
-        batch_pool([&options] {
-          return std::make_unique<BatchSlab>(options.batch_width,
-                                             options.policy_factory);
         }) {}
 
   TenantHost host;
   SessionPool<reduce::PipelineSession> pipeline_pool;
-  SessionPool<BatchSlab> batch_pool;
-  std::vector<std::unique_ptr<BatchSlab>> batch_live;
-  size_t batch_lanes = 0;  // open lanes across batch_live
   FleetStats stats;
 };
 
@@ -100,7 +60,6 @@ std::unique_ptr<workload::ArrivalSource> MakeJobSource(const FleetJob& job) {
 
 FleetRunner::FleetRunner(FleetOptions options) : options_(std::move(options)) {
   RRS_CHECK_GE(options_.rounds_per_tick, 1);
-  RRS_CHECK_LE(options_.batch_width, BatchEngine::kMaxLanes);
   if (!options_.policy_factory) {
     options_.policy_factory = [] { return std::make_unique<DlruEdfPolicy>(); };
   }
@@ -123,8 +82,7 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
                            size_t stride) {
   size_t next = shard_index;  // this shard's jobs: shard_index + k * stride
   TenantHost& host = shard.host;
-  RRS_CHECK(host.live().empty());
-  RRS_CHECK(shard.batch_live.empty());
+  RRS_CHECK(host.empty());
   const bool batching = options_.batch_width > 1;
 
   // Per-tenant work traces onto this worker's thread track (single-writer).
@@ -146,14 +104,14 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
   // the tick mark itself — shares the barrier's stamp (see RecordAt).
   uint64_t now_ns = 0;
 
-  // The SLO and flight records of every path: host tenants, slab lanes and
-  // pipeline tenants.
+  // The SLO and flight records of every path: host tenants (scalar or lane)
+  // and pipeline tenants.
   auto record = [&](obs::FlightEventType type, uint64_t arg) {
     if (ring != nullptr) ring->RecordAt(now_ns, type, shard_tag, arg);
   };
   auto admitted = [&](size_t job_index) {
     shard.stats.peak_live_sessions = std::max<uint64_t>(
-        shard.stats.peak_live_sessions, host.live().size() + shard.batch_lanes);
+        shard.stats.peak_live_sessions, host.size());
     record(obs::kFlightAdmit, job_index);
   };
   auto observe = [&](size_t job_index, Round rounds, uint64_t misses) {
@@ -172,64 +130,18 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
     record(obs::kFlightFinish, job_index);
   };
 
-  while (next < jobs.size() || !host.live().empty() ||
-         !shard.batch_live.empty()) {
+  while (next < jobs.size() || !host.empty()) {
     if (ring != nullptr) now_ns = obs::NowNs();
 
     // ---- Admit: bind waiting tenants up to the live cap. ----
     while (next < jobs.size() &&
            (options_.max_live_sessions == 0 ||
-            host.live().size() + shard.batch_lanes <
-                options_.max_live_sessions)) {
+            host.size() < options_.max_live_sessions)) {
       const FleetJob& job = jobs[next];
       // Streaming tenants materialize their source now, at admission —
       // queued jobs hold only the closure (or the spec).
       std::unique_ptr<workload::ArrivalSource> source = MakeJobSource(job);
       RRS_CHECK(source == nullptr || job.kind == FleetJob::Kind::kReplay);
-      if (batching && BatchEligible(job)) {
-        const Instance& shape =
-            source != nullptr ? source->shape() : *job.instance;
-        // Pack the tenant into a filling slab of its shape (slabs only
-        // accept lanes before their first step), or start a new one.
-        const uint64_t full_mask =
-            options_.batch_width >= 64
-                ? ~uint64_t{0}
-                : (uint64_t{1} << options_.batch_width) - 1;
-        BatchSlab* slab = nullptr;
-        for (auto& candidate : shard.batch_live) {
-          if (candidate->engine.next_round() == 0 &&
-              candidate->engine.open_mask() != full_mask &&
-              candidate->engine.LaneCompatible(shape, job.options)) {
-            slab = candidate.get();
-            break;
-          }
-        }
-        if (slab == nullptr) {
-          shard.batch_live.push_back(shard.batch_pool.Acquire());
-          slab = shard.batch_live.back().get();
-          RRS_CHECK(slab->engine.empty());
-          record(obs::kFlightSlabOpen, shard.batch_live.size());
-        }
-        uint32_t lane = 0;
-        while (slab->engine.lane_open(lane)) ++lane;
-        if (source != nullptr) {
-          slab->engine.OpenLane(lane, *source, job.options,
-                                *slab->policies[lane]);
-          slab->sources[lane] = std::move(source);
-        } else {
-          slab->engine.OpenLane(lane, *job.instance, job.options,
-                                *slab->policies[lane]);
-        }
-        slab->job_index[lane] = next;
-        ++shard.batch_lanes;
-        ++shard.stats.batched_sessions;
-        admitted(next);
-        next += stride;
-        continue;
-      }
-      if (batching && job.kind == FleetJob::Kind::kReplay) {
-        ++shard.stats.fallback_sessions;
-      }
       if (job.kind == FleetJob::Kind::kPipeline) {
         // Pipeline tenants run to completion on admission (the pipeline's
         // transform → run → project → validate chain has no round-bucket
@@ -251,62 +163,33 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
         shard.pipeline_pool.Release(std::move(session));
         finished(next, *job.instance);
       } else {
-        host.Admit(next, job.instance, std::move(source), job.options);
+        const size_t slabs = host.slabs();
+        if (!host.Admit(next, job.instance, std::move(source), job.options) &&
+            batching) {
+          ++shard.stats.fallback_sessions;
+        }
+        if (host.slabs() > slabs) record(obs::kFlightSlabOpen, host.slabs());
         admitted(next);
       }
       next += stride;
     }
 
-    if (host.live().empty() && shard.batch_live.empty()) continue;
+    if (host.empty()) continue;
 
-    // ---- Tick: advance every live tenant and slab one round bucket. ----
+    // ---- Tick: advance every live tenant one round bucket. ----
+    const size_t slabs = host.slabs();
     shard.stats.rounds_stepped += host.Step(
         options_.rounds_per_tick,
-        [&](const TenantHost::Tenant& tenant) {
-          const Engine& engine = tenant.engine();
-          observe(tenant.key, engine.next_round(), engine.run_cost().drops);
+        [&](const TenantHost::TenantView& tenant) {
+          observe(tenant.key, tenant.next_round, tenant.cost.drops);
         },
-        [&](const TenantHost::Tenant& tenant, RunResult& result) {
+        [&](const TenantHost::TenantView& tenant, RunResult& result) {
           results[tenant.key] = std::move(result);
-          finished(tenant.key, tenant.engine().instance());
+          finished(tenant.key, *tenant.shape);
         });
-
-    size_t slab_out = 0;
-    for (size_t i = 0; i < shard.batch_live.size(); ++i) {
-      BatchSlab& slab = *shard.batch_live[i];
-      const uint64_t lanes_before = slab.engine.lane_rounds_stepped();
-      const uint64_t slabs_before = slab.engine.slab_rounds_stepped();
-      const bool more = slab.engine.StepRounds(options_.rounds_per_tick);
-      const uint64_t lane_delta =
-          slab.engine.lane_rounds_stepped() - lanes_before;
-      shard.stats.rounds_stepped += lane_delta;
-      shard.stats.lane_rounds_stepped += lane_delta;
-      shard.stats.slab_rounds_stepped +=
-          slab.engine.slab_rounds_stepped() - slabs_before;
-      for (uint32_t lane = 0; lane < options_.batch_width; ++lane) {
-        if (!slab.engine.lane_open(lane)) continue;
-        const size_t job_index = slab.job_index[lane];
-        if (!slab.engine.lane_done(lane)) {
-          observe(job_index, slab.engine.lane_rounds(lane),
-                  slab.engine.lane_cost(lane).drops);
-          continue;
-        }
-        slab.engine.FinishLane(lane, results[job_index]);
-        --shard.batch_lanes;
-        finished(job_index, slab.sources[lane] != nullptr
-                                ? slab.sources[lane]->shape()
-                                : *jobs[job_index].instance);
-        slab.sources[lane].reset();
-      }
-      if (!more) {
-        RRS_CHECK(slab.engine.empty());
-        shard.batch_pool.Release(std::move(shard.batch_live[i]));
-        record(obs::kFlightSlabClose, shard.batch_lanes);
-      } else {
-        shard.batch_live[slab_out++] = std::move(shard.batch_live[i]);
-      }
+    for (size_t live = slabs; live > host.slabs(); --live) {
+      record(obs::kFlightSlabClose, live - 1);
     }
-    shard.batch_live.resize(slab_out);
     ++shard.stats.ticks;
     record(obs::kFlightTick, shard.stats.ticks);
     if (slo != nullptr) slo->Publish(shard_index);
@@ -320,6 +203,9 @@ void FleetRunner::RunShard(Shard& shard, std::span<const FleetJob> jobs,
       host.created() + shard.pipeline_pool.created();
   shard.stats.sessions_recycled =
       host.recycled() + shard.pipeline_pool.recycled();
+  shard.stats.batched_sessions = host.batched();
+  shard.stats.lane_rounds_stepped = host.lane_rounds();
+  shard.stats.slab_rounds_stepped = host.slab_rounds();
 }
 
 std::vector<RunResult> FleetRunner::RunAll(std::span<const FleetJob> jobs) {

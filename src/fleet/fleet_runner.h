@@ -12,13 +12,13 @@
 //  - shard → worker affinity: jobs are assigned to shards by index
 //    (j % num_shards) and each shard's state is touched by exactly one
 //    worker per RunAll, so shard-local pools need no locks;
-//  - three paths per shard: scalar replay tenants live on the shard's
-//    TenantHost (fleet/tenant_host.h), pooled sessions advanced in round
-//    buckets of `rounds_per_tick`; batch-eligible tenants pack into lane
-//    slabs (fleet/batch_engine.h); pipeline tenants run to completion on a
+//  - two paths per shard: replay tenants live on the shard's TenantHost
+//    (fleet/tenant_host.h), advanced in round buckets of `rounds_per_tick`
+//    on pooled sessions or, with `batch_width` > 1, packed into lane slabs
+//    (fleet/batch_engine.h); pipeline tenants run to completion on a
 //    pooled pipeline session at admission. After warmup the fleet
 //    allocates nothing per tenant at a fixed shape (core/session.h);
-//  - one set of SLO and flight-recorder callbacks serves all three paths;
+//  - one set of SLO and flight-recorder callbacks serves both paths;
 //  - per-shard stats, merged after the sweep and absorbed into the obs
 //    Scope as fleet.* counters.
 //
@@ -108,8 +108,8 @@ struct FleetOptions {
   // of equal shape are packed `batch_width` to a slab and advance in
   // lock-step through shared SoA state. 0 or 1 = scalar engines only.
   // Tenants a slab cannot take (pipeline jobs, record_schedule, an explicit
-  // obs scope, or no same-shape slab filling at admission time) fall back to
-  // scalar sessions; results are bit-identical either way. Max 64.
+  // obs scope) fall back to scalar sessions; results are bit-identical
+  // either way. Max 64. Packing lives in TenantHost (fleet/tenant_host.h).
   uint32_t batch_width = 0;
   // Builds the scheduler for replay sessions (one per pooled session, reused
   // across tenants via SchedulerPolicy::Reset). Defaults to ΔLRU-EDF with
@@ -174,7 +174,6 @@ class FleetRunner {
   size_t num_shards() const { return shards_.size(); }
 
  private:
-  struct BatchSlab;
   struct Shard;
 
   void RunShard(Shard& shard, std::span<const FleetJob> jobs,

@@ -74,22 +74,22 @@ bool Rng::Bernoulli(double p) {
 uint64_t Rng::Poisson(double mean) {
   RRS_CHECK_GE(mean, 0.0);
   if (mean == 0) return 0;
-  if (mean < 30) {
-    // Knuth's product method.
-    const double limit = std::exp(-mean);
-    double prod = UniformDouble();
-    uint64_t count = 0;
-    while (prod > limit) {
-      prod *= UniformDouble();
-      ++count;
-    }
-    return count;
-  }
+  if (mean < 30) return PoissonProduct(std::exp(-mean));
   // For large means, split mean = m1 + m2 recursively so each piece stays in
   // the numerically stable range of the product method. Poisson(a + b) is the
   // sum of independent Poisson(a) and Poisson(b).
   double half = mean / 2;
   return Poisson(half) + Poisson(mean - half);
+}
+
+uint64_t Rng::PoissonProduct(double limit) {
+  double prod = UniformDouble();
+  uint64_t count = 0;
+  while (prod > limit) {
+    prod *= UniformDouble();
+    ++count;
+  }
+  return count;
 }
 
 double Rng::Exponential(double rate) {

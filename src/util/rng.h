@@ -73,6 +73,11 @@ class Rng {
   // rejection fallback for large means; exact enough for workload synthesis.
   uint64_t Poisson(double mean);
 
+  // Knuth's product method given limit = exp(-mean) for 0 < mean < 30: the
+  // exact draws Poisson(mean) makes, for per-round loops that hoist the
+  // exponential out.
+  uint64_t PoissonProduct(double limit);
+
   // Exponential with the given rate (> 0).
   double Exponential(double rate);
 

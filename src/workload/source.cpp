@@ -88,11 +88,17 @@ PoissonSource::PoissonSource(std::vector<ColorSpec> colors,
   for (const ColorSpec& spec : colors_) builder.AddColor(spec.delay_bound);
   InitSeries(builder.Build(), options_.rounds, options_.batched,
              options_.rate_limited, Rng(options_.seed));
+  for (const ColorSpec& spec : colors_) {
+    const bool product = spec.rate > 0 && spec.rate < 30;
+    limits_.push_back(product ? std::exp(-spec.rate) : 0);
+  }
   FinishInit(options_.rounds);
 }
 
 uint64_t PoissonSource::DrawCount(ColorId c, Round /*r*/) {
-  return rngs_[c].Poisson(colors_[c].rate);
+  const double limit = limits_[c];
+  return limit > 0 ? rngs_[c].PoissonProduct(limit)
+                   : rngs_[c].Poisson(colors_[c].rate);
 }
 
 std::unique_ptr<ArrivalSource> PoissonSource::Clone() const {

@@ -81,6 +81,9 @@ class PoissonSource final : public SeriesSource {
  private:
   std::vector<ColorSpec> colors_;
   PoissonOptions options_;
+  // Per color: exp(-rate) for Rng::PoissonProduct, or 0 where the rate
+  // needs Rng::Poisson (0, or 30 and up).
+  std::vector<double> limits_;
 };
 
 class BurstySource final : public SeriesSource {

@@ -621,6 +621,15 @@ TEST(DistShed, BurnDrivenSheddingActsAsOverloadValve) {
 
 // ---- Observability plane over the process boundary -----------------------
 
+// A counter's value in Prometheus text; fails the test when it is absent.
+uint64_t CounterValue(const std::string& text, const std::string& metric) {
+  const std::string marker = "\n" + metric + " ";
+  const size_t at = text.find(marker);
+  EXPECT_NE(at, std::string::npos) << metric << " missing\n" << text;
+  if (at == std::string::npos) return 0;
+  return std::stoull(text.substr(at + marker.size()));
+}
+
 TEST(DistMetrics, ControllerAndWorkerEndpointsServeAggregates) {
   std::vector<Instance> tenants = {DistTenant(71), DistTenant(72),
                                    DistTenant(73)};
@@ -669,6 +678,20 @@ TEST(DistMetrics, ControllerAndWorkerEndpointsServeAggregates) {
     EXPECT_NE(worker_metrics.find("rrs_worker_dist_worker_rounds_stepped"),
               std::string::npos)
         << worker_metrics;
+    // Workers host every batchable tenant on lane slabs, and say so.
+    const std::string prefix = "rrs_worker_dist_worker_";
+    const uint64_t rounds =
+        CounterValue(worker_metrics, prefix + "rounds_stepped");
+    const uint64_t batched =
+        CounterValue(worker_metrics, prefix + "batched_sessions");
+    const uint64_t lane_rounds =
+        CounterValue(worker_metrics, prefix + "lane_rounds");
+    const uint64_t slab_rounds =
+        CounterValue(worker_metrics, prefix + "slab_rounds");
+    EXPECT_GT(batched, 0u) << "worker " << w << "\n" << worker_metrics;
+    EXPECT_EQ(lane_rounds, rounds) << "worker " << w;
+    EXPECT_GT(slab_rounds, 0u) << "worker " << w;
+    EXPECT_LE(slab_rounds, lane_rounds) << "worker " << w;
   }
   controller.Shutdown();
 }

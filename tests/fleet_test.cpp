@@ -12,6 +12,7 @@
 
 #include "core/engine.h"
 #include "fleet/fleet_runner.h"
+#include "fleet/tenant_host.h"
 #include "parallel/thread_pool.h"
 #include "reduce/distribute.h"
 #include "reduce/online.h"
@@ -19,6 +20,7 @@
 #include "reduce/varbatch.h"
 #include "sched/dlru_edf.h"
 #include "sched/registry.h"
+#include "workload/generator_spec.h"
 #include "workload/synthetic.h"
 
 namespace rrs {
@@ -283,6 +285,200 @@ TEST(FleetRunner, SessionEconomyIsPinned) {
     const fleet::FleetStats warm = runner.stats();
     EXPECT_EQ(warm.sessions_created, 24u) << label;
     EXPECT_EQ(warm.sessions_recycled, 24u) << label;
+  }
+}
+
+// ---- TenantHost: lanes and scalar sessions, checkpoints across both ------
+
+// Tenant i of the host tests: the FleetTenant(500 + i) workload, fed as a
+// materialized instance for even i and as a streaming source for odd i.
+struct HostTenants {
+  explicit HostTenants(size_t count, Round rounds = 96) {
+    std::vector<workload::ColorSpec> colors = {
+        {1, 0.4}, {2, 0.5}, {4, 0.5}, {8, 0.4}, {16, 0.3}};
+    for (size_t i = 0; i < count; ++i) {
+      workload::PoissonOptions gen;
+      gen.rounds = rounds;
+      gen.seed = 500 + i;
+      instances.push_back(MakePoisson(colors, gen));
+      specs.push_back(workload::PoissonSpec(colors, gen));
+    }
+    options.num_resources = 4;
+    options.cost_model.delta = 2;
+  }
+
+  // Admits tenant i into `host`, resuming from `checkpoint` when given.
+  bool Admit(fleet::TenantHost& host, size_t i,
+             std::span<const uint64_t> checkpoint = {}) const {
+    if (i % 2 == 0) {
+      return host.Admit(i, &instances[i], nullptr, options, checkpoint);
+    }
+    return host.Admit(i, nullptr, workload::MakeSource(specs[i]), options,
+                      checkpoint);
+  }
+
+  // An uninterrupted run in the tenant's own form (a lookahead policy sees
+  // no future arrivals on a streaming source).
+  RunResult Oracle(size_t i, const std::string& policy) const {
+    auto fresh = MakePolicy(policy);
+    if (i % 2 == 0) return RunPolicy(instances[i], *fresh, options);
+    const auto source = workload::MakeSource(specs[i]);
+    Engine engine;
+    engine.Reset(*source, options);
+    return engine.Run(*fresh);
+  }
+
+  std::vector<Instance> instances;
+  std::vector<workload::GeneratorSpec> specs;
+  EngineOptions options;
+};
+
+fleet::TenantHost::PolicyFactory Factory(const std::string& policy) {
+  return [policy] { return MakePolicy(policy); };
+}
+
+// Steps `host` in buckets of `bucket` rounds until every tenant finished,
+// storing each result under its key.
+void Drain(fleet::TenantHost& host, Round bucket,
+           std::vector<RunResult>& results) {
+  while (!host.empty()) {
+    host.Step(
+        bucket, [](const fleet::TenantHost::TenantView&) {},
+        [&](const fleet::TenantHost::TenantView& tenant, RunResult& result) {
+          results[tenant.key] = std::move(result);
+        });
+  }
+}
+
+// Moves every live tenant of `from` into `to` through its checkpoint words.
+void MoveAll(fleet::TenantHost& from, fleet::TenantHost& to,
+             const HostTenants& tenants) {
+  while (!from.empty()) {
+    const size_t last = from.size() - 1;
+    const uint64_t key = from.view(last).key;
+    const std::vector<uint64_t> words = from.Checkpoint(last);
+    from.Evict(last);
+    tenants.Admit(to, key, words);
+  }
+}
+
+TEST(TenantHost, CheckpointsCrossBetweenLanesAndScalarSessions) {
+  constexpr size_t kTenants = 6;
+  const HostTenants tenants(kTenants);
+  fleet::TenantHost lanes(Factory("dlru-edf"), 8);
+  fleet::TenantHost scalar(Factory("dlru-edf"), 0);
+  fleet::TenantHost reference(Factory("dlru-edf"), 0);
+  for (size_t i = 0; i < kTenants; ++i) {
+    EXPECT_TRUE(tenants.Admit(lanes, i));
+    EXPECT_FALSE(tenants.Admit(reference, i));
+  }
+  EXPECT_EQ(lanes.slabs(), 1u);
+  auto step = [](fleet::TenantHost& host, Round rounds) {
+    host.Step(
+        rounds, [](const fleet::TenantHost::TenantView&) {},
+        [](const fleet::TenantHost::TenantView&, RunResult&) {
+          FAIL() << "no tenant finishes this early";
+        });
+  };
+  step(lanes, 20);
+  step(reference, 20);
+
+  // A lane checkpoint is the scalar session's checkpoint, word for word, and
+  // the views agree.
+  ASSERT_EQ(lanes.size(), kTenants);
+  for (size_t i = 0; i < kTenants; ++i) {
+    const size_t at = lanes.Find(i);
+    ASSERT_LT(at, lanes.size());
+    const fleet::TenantHost::TenantView lane = lanes.view(at);
+    const fleet::TenantHost::TenantView session = reference.view(i);
+    EXPECT_EQ(lane.next_round, 20);
+    EXPECT_EQ(lane.next_round, session.next_round);
+    EXPECT_EQ(lane.cost.drops, session.cost.drops) << i;
+    EXPECT_EQ(lane.cost.reconfigurations, session.cost.reconfigurations);
+    EXPECT_EQ(lane.executed, session.executed) << i;
+    EXPECT_EQ(lanes.Checkpoint(at), reference.Checkpoint(i)) << i;
+  }
+
+  // Lanes -> scalar sessions -> lanes, then run out.
+  MoveAll(lanes, scalar, tenants);
+  EXPECT_EQ(lanes.slabs(), 0u);
+  ASSERT_EQ(scalar.size(), kTenants);
+  step(scalar, 12);
+  MoveAll(scalar, lanes, tenants);
+  EXPECT_EQ(lanes.slabs(), 1u);
+  EXPECT_EQ(lanes.batched(), 2 * kTenants);
+  std::vector<RunResult> results(kTenants);
+  Drain(lanes, 7, results);
+  for (size_t i = 0; i < kTenants; ++i) {
+    ExpectSameRunResult(results[i], tenants.Oracle(i, "dlru-edf"),
+                        "moved tenant " + std::to_string(i));
+  }
+}
+
+TEST(TenantHost, RestoresPackIntoSlabsByRound) {
+  constexpr size_t kTenants = 6;
+  const HostTenants tenants(kTenants);
+  // Tenants 0..3 are cut at round 16, 4 and 5 at round 24.
+  fleet::TenantHost cutter(Factory("dlru-edf"), 0);
+  std::vector<std::vector<uint64_t>> words(kTenants);
+  for (size_t i = 0; i < kTenants; ++i) tenants.Admit(cutter, i);
+  cutter.Step(
+      16, [](const fleet::TenantHost::TenantView&) {},
+      [](const fleet::TenantHost::TenantView&, RunResult&) {});
+  for (size_t i = 0; i < 4; ++i) words[i] = cutter.Checkpoint(i);
+  cutter.Step(
+      8, [](const fleet::TenantHost::TenantView&) {},
+      [](const fleet::TenantHost::TenantView&, RunResult&) {});
+  for (size_t i = 4; i < kTenants; ++i) words[i] = cutter.Checkpoint(i);
+
+  fleet::TenantHost host(Factory("dlru-edf"), 4);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(tenants.Admit(host, i, words[i]));
+    EXPECT_EQ(host.slabs(), 1u) << "restore " << i;
+  }
+  // The round-16 slab is full; a fifth round-16 tenant would open a second
+  // one, and so does a restore at another round.
+  EXPECT_TRUE(tenants.Admit(host, 4, words[4]));
+  EXPECT_EQ(host.slabs(), 2u);
+  EXPECT_TRUE(tenants.Admit(host, 5, words[5]));
+  EXPECT_EQ(host.slabs(), 2u);
+  EXPECT_EQ(host.view(4).next_round, 24);
+  EXPECT_EQ(host.view(0).next_round, 16);
+
+  std::vector<RunResult> results(kTenants);
+  Drain(host, 16, results);
+  EXPECT_EQ(host.slabs(), 0u);
+  for (size_t i = 0; i < kTenants; ++i) {
+    ExpectSameRunResult(results[i], tenants.Oracle(i, "dlru-edf"),
+                        "restored tenant " + std::to_string(i));
+  }
+}
+
+// Policies without a fused lane kernel run on generic lanes, and their
+// checkpoints cross to scalar sessions and back like the fused policy's.
+TEST(TenantHost, EveryRegistryPolicyRunsOnLanes) {
+  constexpr size_t kTenants = 4;
+  const HostTenants tenants(kTenants, 64);
+  for (const std::string& policy : PolicyNames()) {
+    fleet::TenantHost lanes(Factory(policy), 64);
+    fleet::TenantHost scalar(Factory(policy), 0);
+    for (size_t i = 0; i < kTenants; ++i) {
+      EXPECT_TRUE(tenants.Admit(lanes, i)) << policy;
+    }
+    lanes.Step(
+        24, [](const fleet::TenantHost::TenantView&) {},
+        [](const fleet::TenantHost::TenantView&, RunResult&) {});
+    MoveAll(lanes, scalar, tenants);
+    scalar.Step(
+        8, [](const fleet::TenantHost::TenantView&) {},
+        [](const fleet::TenantHost::TenantView&, RunResult&) {});
+    MoveAll(scalar, lanes, tenants);
+    std::vector<RunResult> results(kTenants);
+    Drain(lanes, 64, results);
+    for (size_t i = 0; i < kTenants; ++i) {
+      ExpectSameRunResult(results[i], tenants.Oracle(i, policy),
+                          policy + " tenant " + std::to_string(i));
+    }
   }
 }
 
