@@ -13,10 +13,21 @@
 //
 // States are packed: each state is a contiguous uint32 span in a per-layer
 // arena — [config multiset (m words, sorted, black = num_colors)] followed by
-// [per color: length, then (rel, count) RLE pairs] — keyed by a mixed 64-bit
-// hash of the span. The hot loop interns child spans into open-addressing
-// tables without ever materializing a per-state object or per-state heap
-// allocation.
+// [per color: length, then (rel, count) RLE pairs] — interned into
+// open-addressing tables without a per-state object or heap allocation. The
+// search itself is the layered core shared with the robust solver
+// (offline/search_core.h).
+//
+// Expansion works per parent, not per child: a child's section for color c,
+// its drop cost and its heuristic leg depend only on the parent and on c's
+// multiplicity e in the new configuration. Each parent fills one table over
+// every (c, e), configurations are enumerated as per-color multiplicities
+// with cost, bound and hash summed along the way, and a child is only
+// assembled (one copy per color) once it passes `g + h <= incumbent`. Its
+// intern hash is the sum of its section hashes: it only picks probe slots,
+// and memcmp confirms every hit. The merge-shard hash is separate and fixed
+// (a hash of the m config words): it decides the canonical layer order that
+// parent indices and reconstructed schedules follow.
 //
 // Transition (one round): choose the next color multiset C' over
 // {colors with pending work} ∪ {current colors} — reconfiguring to an idle

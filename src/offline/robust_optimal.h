@@ -2,9 +2,10 @@
 // [lower, upper] brackets on OPT valid for *every* concrete trace obtainable
 // by pinning each job to one round of its arrival window.
 //
-// The search mirrors offline/optimal.cpp — packed arena-backed states,
-// layer-parallel chunked expansion, config-sharded merging, bit-identical
-// across thread counts — but each state is interval-valued (see
+// The search is the layered core it shares with offline/optimal.cpp
+// (offline/search_core.h) — packed arena-backed states, per-parent transition
+// tables, layer-parallel chunked expansion, config-sharded merging,
+// bit-identical across thread counts — but each state is interval-valued (see
 // offline/interval_state.h): per-color RLE deadline profiles carry
 // [optimistic, pessimistic] pending bounds and the accumulated cost is an
 // interval [cost_lo, cost_hi]. The two envelopes evolve in lock-step under a
