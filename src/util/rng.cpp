@@ -6,32 +6,12 @@
 
 namespace rrs {
 
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Rng::Rng(uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& s : s_) s = sm.Next();
   // An all-zero state is the one fixed point of xoshiro; SplitMix64 cannot
   // produce four consecutive zeros from any seed, but guard anyway.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextBounded(uint64_t bound) {
@@ -56,40 +36,19 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(NextBounded(span));
 }
 
-double Rng::UniformDouble() {
-  // 53 random bits mapped to [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::UniformDouble(double lo, double hi) {
   return lo + (hi - lo) * UniformDouble();
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0) return false;
-  if (p >= 1) return true;
-  return UniformDouble() < p;
 }
 
 uint64_t Rng::Poisson(double mean) {
   RRS_CHECK_GE(mean, 0.0);
   if (mean == 0) return 0;
-  if (mean < 30) return PoissonProduct(std::exp(-mean));
+  if (mean < kProductMeanLimit) return PoissonProduct(std::exp(-mean));
   // For large means, split mean = m1 + m2 recursively so each piece stays in
   // the numerically stable range of the product method. Poisson(a + b) is the
   // sum of independent Poisson(a) and Poisson(b).
   double half = mean / 2;
   return Poisson(half) + Poisson(mean - half);
-}
-
-uint64_t Rng::PoissonProduct(double limit) {
-  double prod = UniformDouble();
-  uint64_t count = 0;
-  while (prod > limit) {
-    prod *= UniformDouble();
-    ++count;
-  }
-  return count;
 }
 
 double Rng::Exponential(double rate) {

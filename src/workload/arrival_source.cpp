@@ -43,7 +43,8 @@ void ArrivalSource::FinishInit(Round raw_rounds) {
 
   // Per-color sliding D_c-window of (round, count) arrival runs: backlog is
   // the max window sum, exactly Instance's precomputation but fed from the
-  // stream.
+  // stream. Each window drops its drained prefix once that is at least half
+  // of it, so memory follows the runs inside D_c rounds, not the stream.
   std::vector<std::vector<std::pair<Round, uint64_t>>> window(num_colors);
   std::vector<size_t> head(num_colors, 0);
   std::vector<uint64_t> win_sum(num_colors, 0);
@@ -62,6 +63,10 @@ void ArrivalSource::FinishInit(Round raw_rounds) {
       while (h < q.size() && q[h].first + d <= k) {
         win_sum[c] -= q[h].second;
         ++h;
+      }
+      if (h != 0 && 2 * h >= q.size()) {
+        q.erase(q.begin(), q.begin() + static_cast<ptrdiff_t>(h));
+        h = 0;
       }
       q.emplace_back(k, count);
       win_sum[c] += count;

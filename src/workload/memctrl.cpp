@@ -10,9 +10,12 @@ namespace workload {
 
 namespace {
 
-class MemctrlSource final : public SeriesSource {
+class MemctrlSource final : public SeriesSourceOf<MemctrlSource> {
  public:
-  explicit MemctrlSource(const MemctrlOptions& options) : options_(options) {
+  explicit MemctrlSource(const MemctrlOptions& options)
+      : options_(options),
+        burst_sampler_(options.burst_rate),
+        idle_sampler_(options.idle_rate) {
     RRS_CHECK_GE(options_.num_ranks, 1u);
     RRS_CHECK_GE(options_.banks_per_rank, 1u);
     RRS_CHECK(!options_.delay_choices.empty());
@@ -43,20 +46,6 @@ class MemctrlSource final : public SeriesSource {
   }
 
  protected:
-  uint64_t DrawCount(ColorId c, Round r) override {
-    uint64_t count = on_[c] ? rngs_[c].Poisson(options_.burst_rate)
-                            : rngs_[c].Poisson(options_.idle_rate);
-    const double flip = on_[c] ? options_.close_prob : options_.open_prob;
-    if (rngs_[c].Bernoulli(flip)) on_[c] ^= 1;
-    if (InRefresh(c / options_.banks_per_rank, r)) {
-      stash_[c] += count;
-      return 0;
-    }
-    count += stash_[c];
-    stash_[c] = 0;
-    return count;
-  }
-
   void ResetSeries() override {
     on_.assign(rngs_.size(), 0);
     stash_.assign(rngs_.size(), 0);
@@ -74,6 +63,21 @@ class MemctrlSource final : public SeriesSource {
   }
 
  private:
+  friend class SeriesSourceOf<MemctrlSource>;
+
+  uint64_t Draw(Rng& rng, ColorId c, Round r) {
+    uint64_t count = (on_[c] ? burst_sampler_ : idle_sampler_).Draw(rng);
+    const double flip = on_[c] ? options_.close_prob : options_.open_prob;
+    if (rng.Bernoulli(flip)) on_[c] ^= 1;
+    if (InRefresh(c / options_.banks_per_rank, r)) {
+      stash_[c] += count;
+      return 0;
+    }
+    count += stash_[c];
+    stash_[c] = 0;
+    return count;
+  }
+
   bool InRefresh(uint32_t rank, Round r) const {
     if (options_.refresh_length == 0) return false;
     // Stagger ranks evenly across the period so refresh storms don't align.
@@ -83,6 +87,8 @@ class MemctrlSource final : public SeriesSource {
   }
 
   MemctrlOptions options_;
+  PoissonSampler burst_sampler_;
+  PoissonSampler idle_sampler_;
   std::vector<uint8_t> on_;      // per-bank open-row flag
   std::vector<uint64_t> stash_;  // per-bank arrivals held during refresh
 };
