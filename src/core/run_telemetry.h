@@ -1,8 +1,8 @@
 // Shared end-of-run telemetry assembly for the replay engines (Engine and
-// RunPolicyReference): snapshots the policy's structured ExportMetrics
-// registry into RunResult::telemetry.counters, fills the rest of the
-// telemetry block, and folds the run into the obs::Scope via
-// RunInstruments::Finalize.
+// the test-support oracle RunPolicyReference in tests/support/core):
+// snapshots the policy's structured ExportMetrics registry into
+// RunResult::telemetry.counters, fills the rest of the telemetry block, and
+// folds the run into the obs::Scope via RunInstruments::Finalize.
 //
 // The counters snapshot runs at every obs level (it is end-of-run, not hot
 // path), so harness code can read policy counters even when the
