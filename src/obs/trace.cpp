@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 
@@ -14,7 +15,11 @@ uint64_t NowNs() {
           .count());
 }
 
-Tracer::Tracer(Options options) : options_(options), epoch_ns_(NowNs()) {}
+Tracer::Tracer(Options options)
+    : options_(options), epoch_ns_(NowNs()), id_([] {
+        static std::atomic<uint64_t> next_id{1};
+        return next_id.fetch_add(1, std::memory_order_relaxed);
+      }()) {}
 
 TraceTrack* Tracer::RegisterTrack(std::string name) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -27,13 +32,13 @@ TraceTrack* Tracer::RegisterTrack(std::string name) {
 TraceTrack* Tracer::ThreadTrack() {
   // Cached per (thread, tracer). A thread that alternates between tracers
   // re-registers; our usage is one tracer per process at a time.
-  thread_local Tracer* cached_tracer = nullptr;
+  thread_local uint64_t cached_tracer = 0;
   thread_local TraceTrack* cached_track = nullptr;
-  if (cached_tracer != this) {
+  if (cached_tracer != id_) {
     TraceTrack* track = RegisterTrack("thread");
     track->name_ += "-" + std::to_string(track->tid_);
     cached_track = track;
-    cached_tracer = this;
+    cached_tracer = id_;
   }
   return cached_track;
 }

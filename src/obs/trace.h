@@ -105,6 +105,9 @@ class Tracer {
  private:
   const Options options_;
   const uint64_t epoch_ns_;
+  // Process-unique, never reused: ThreadTrack's per-thread cache keys on
+  // it, since a later tracer can occupy a destroyed one's address.
+  const uint64_t id_;
   mutable std::mutex mutex_;        // guards tracks_ structure, not rings
   std::deque<TraceTrack> tracks_;   // deque: stable element addresses
 };
