@@ -1,6 +1,7 @@
 // E11 — substrate microbenchmarks (google-benchmark): the LruTracker behind
-// the ΔLRU schedulers, the thread-pool sweep scaling, and the streaming
-// Poisson source's shape scan and per-round emission.
+// the ΔLRU schedulers, the thread-pool sweep scaling, the streaming Poisson
+// source's shape scan and per-round emission, and the scalar ΔLRU-EDF round
+// on a materialized stream.
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -8,10 +9,13 @@
 #include <benchmark/benchmark.h>
 
 #include "container/lru_tracker.h"
+#include "core/engine.h"
 #include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
+#include "sched/dlru_edf.h"
 #include "util/rng.h"
 #include "workload/source.h"
+#include "workload/synthetic.h"
 
 namespace {
 
@@ -57,18 +61,27 @@ struct StreamShape {
 constexpr StreamShape kSoloShape{128, 0.0625};
 constexpr StreamShape kFleetShape{16, 0.5};
 
-std::unique_ptr<rrs::workload::ArrivalSource> MakeStream(StreamShape shape,
-                                                         rrs::Round rounds) {
+std::vector<rrs::workload::ColorSpec> ShapeSpecs(StreamShape shape) {
   const rrs::Round delays[] = {1, 2, 4, 8, 16, 32};
   std::vector<rrs::workload::ColorSpec> specs;
   for (size_t c = 0; c < shape.colors; ++c) {
     specs.push_back({delays[c % 6], shape.rate});
   }
+  return specs;
+}
+
+rrs::workload::PoissonOptions ShapeOptions(rrs::Round rounds) {
   rrs::workload::PoissonOptions gen;
   gen.rounds = rounds;
   gen.rate_limited = true;
   gen.seed = 21;
-  return rrs::workload::MakePoissonSource(std::move(specs), gen);
+  return gen;
+}
+
+std::unique_ptr<rrs::workload::ArrivalSource> MakeStream(StreamShape shape,
+                                                         rrs::Round rounds) {
+  return rrs::workload::MakePoissonSource(ShapeSpecs(shape),
+                                          ShapeOptions(rounds));
 }
 
 // Time per color-round, shown by the `per_color_round` counter.
@@ -102,6 +115,36 @@ void BM_PoissonSourceEmit(benchmark::State& state, StreamShape shape) {
   SetColorRounds(state, static_cast<int64_t>(shape.colors));
 }
 
+// The scalar decision layer: one Engine round of ΔLRU-EDF per iteration over
+// a materialized stream of the shape, on the perfbench resource setup (8
+// resources, Δ = 4). The instance-fed engine emits nothing, so the time is
+// the round's drop, boundary, arrival, reconfiguration and execution work.
+// The `per_round` counter shows the time per round.
+void BM_DlruEdfRound(benchmark::State& state, StreamShape shape) {
+  const rrs::Instance instance = rrs::workload::MakePoisson(
+      ShapeSpecs(shape), ShapeOptions(rrs::Round{1} << 14));
+  rrs::EngineOptions options;
+  options.num_resources = 8;
+  options.cost_model.delta = 4;
+  rrs::Engine engine(instance, options);
+  rrs::DlruEdfPolicy policy;
+  rrs::RunResult result;
+  engine.BeginRun(policy);
+  for (auto _ : state) {
+    if (!engine.StepRounds(1)) {
+      state.PauseTiming();
+      engine.FinishRun(result);
+      engine.BeginRun(policy);
+      state.ResumeTiming();
+    }
+  }
+  engine.AbortRun();
+  state.SetItemsProcessed(state.iterations());
+  state.counters["per_round"] = benchmark::Counter(
+      1.0, benchmark::Counter::kIsIterationInvariantRate |
+               benchmark::Counter::kInvert);
+}
+
 }  // namespace
 
 BENCHMARK(BM_LruTrackerTouchTopK)->Arg(64)->Arg(1024);
@@ -110,5 +153,7 @@ BENCHMARK_CAPTURE(BM_PoissonSourceScan, solo, kSoloShape);
 BENCHMARK_CAPTURE(BM_PoissonSourceScan, fleet, kFleetShape);
 BENCHMARK_CAPTURE(BM_PoissonSourceEmit, solo, kSoloShape);
 BENCHMARK_CAPTURE(BM_PoissonSourceEmit, fleet, kFleetShape);
+BENCHMARK_CAPTURE(BM_DlruEdfRound, solo, kSoloShape);
+BENCHMARK_CAPTURE(BM_DlruEdfRound, fleet, kFleetShape);
 
 BENCHMARK_MAIN();

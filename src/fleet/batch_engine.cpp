@@ -208,6 +208,7 @@ void BatchEngine::AdoptShape(const Instance& instance,
       std::bit_ceil(static_cast<size_t>(max_delay_) + 1);
   wheel_mask_ = wheel_size - 1;
   if (wheel_.size() < wheel_size) wheel_.resize(wheel_size);
+  ++wheel_version_;
 
   if (views_.empty()) {
     views_.reserve(width_);
@@ -348,6 +349,7 @@ bool BatchEngine::StepRounds(Round max_rounds) {
                          ? max_horizon
                          : next_round_ + max_rounds - 1;
 
+  ++wheel_version_;
   for (Round k = next_round_; k <= last; ++k) {
     lane_rounds_ += static_cast<uint64_t>(std::popcount(stepping));
     ++slab_rounds_;
@@ -579,6 +581,29 @@ void BatchEngine::CloseLane(uint32_t lane) {
     // entries aborted lanes left in not-yet-visited slots.
     next_round_ = 0;
     for (auto& slot : wheel_) slot.clear();
+    ++wheel_version_;
+  }
+}
+
+void BatchEngine::BucketWheelByLane() const {
+  if (snap_version_ == wheel_version_) return;
+  snap_version_ = wheel_version_;
+  // Counting sort of the live slots' entries by lane, stable in (slot,
+  // push) order.
+  snap_lane_begin_.assign(width_ + 1, 0);
+  for (size_t j = 0; j <= wheel_mask_; ++j) {
+    for (const WheelEntry& e : wheel_[j]) ++snap_lane_begin_[e.lane + 1];
+  }
+  for (uint32_t lane = 0; lane < width_; ++lane) {
+    snap_lane_begin_[lane + 1] += snap_lane_begin_[lane];
+  }
+  snap_entries_.resize(snap_lane_begin_[width_]);
+  snap_cursor_.assign(snap_lane_begin_.begin(), snap_lane_begin_.end() - 1);
+  for (size_t j = 0; j <= wheel_mask_; ++j) {
+    for (const WheelEntry& e : wheel_[j]) {
+      snap_entries_[snap_cursor_[e.lane]++] = {static_cast<uint32_t>(j),
+                                               e.color};
+    }
   }
 }
 
@@ -609,16 +634,16 @@ void BatchEngine::SnapshotLane(uint32_t lane, snapshot::Writer& w) const {
   w.PutU64(l.wheel_size);
   snap_slots_.resize(l.wheel_size);
   for (auto& slot : snap_slots_) slot.clear();
+  BucketWheelByLane();
   // The effective slot count, not wheel_.size(): the storage is grow-only
   // and may exceed the current shape's power-of-two size.
   const Round slab_size = static_cast<Round>(wheel_mask_) + 1;
-  for (size_t j = 0; j <= wheel_mask_; ++j) {
-    for (const WheelEntry& e : wheel_[j]) {
-      if (e.lane != lane) continue;
-      const Round d =
-          next_round_ + PosMod(static_cast<Round>(j) - next_round_, slab_size);
-      snap_slots_[static_cast<size_t>(d) % l.wheel_size].push_back(e.color);
-    }
+  for (uint32_t i = snap_lane_begin_[lane]; i < snap_lane_begin_[lane + 1];
+       ++i) {
+    const auto [j, color] = snap_entries_[i];
+    const Round d =
+        next_round_ + PosMod(static_cast<Round>(j) - next_round_, slab_size);
+    snap_slots_[static_cast<size_t>(d) % l.wheel_size].push_back(color);
   }
   for (const auto& slot : snap_slots_) w.PutVec(slot);
 
@@ -716,6 +741,7 @@ void BatchEngine::RestoreLaneImpl(uint32_t lane, snapshot::Reader& r,
   RRS_CHECK_GE(snap_wheel_size, static_cast<uint64_t>(max_delay_) + 1)
       << "snapshot wheel smaller than the shape's max delay bound";
   l.wheel_size = snap_wheel_size;
+  ++wheel_version_;
   for (uint64_t j = 0; j < snap_wheel_size; ++j) {
     r.GetVec(snap_colors_scratch_);
     if (snap_colors_scratch_.empty()) continue;

@@ -172,6 +172,11 @@ class BatchEngine {
   void RestoreLaneImpl(uint32_t lane, snapshot::Reader& r,
                        snapshot::Reader* source_state);
 
+  // Buckets the live wheel entries by lane into snap_entries_ (unless the
+  // wheel is unchanged since the last call), so that snapshotting every lane
+  // of a slab scans the shared wheel once rather than once per lane.
+  void BucketWheelByLane() const;
+
   // Releases a lane and, when it was the last one, resets the slab.
   void CloseLane(uint32_t lane);
 
@@ -215,6 +220,9 @@ class BatchEngine {
   // wheel_ itself is grow-only and may be larger than the effective size.
   std::vector<std::vector<WheelEntry>> wheel_;
   uint64_t wheel_mask_ = 0;
+  // Bumped by every wheel mutation (stepping, restores, shape adoption, the
+  // last-lane reset); keys the SnapshotLane bucketing below.
+  uint64_t wheel_version_ = 0;
 
   // StepRounds scratch: (horizon, lane bit) expiries, sorted ascending, so
   // the per-round stepping mask updates incrementally instead of rescanning
@@ -230,8 +238,15 @@ class BatchEngine {
   uint64_t phase_epoch_ = 0;
 
   std::vector<JobId> dropped_scratch_;  // wrapped drop spans only
-  // SnapshotLane scratch: lane wheel slots rebuilt from the shared wheel.
+  // SnapshotLane scratch: lane wheel slots rebuilt from the shared wheel,
+  // and the wheel's (slab slot, color) entries bucketed by lane — lane l's
+  // are snap_entries_[snap_lane_begin_[l] .. snap_lane_begin_[l + 1]) — as
+  // of wheel version snap_version_.
   mutable std::vector<std::vector<ColorId>> snap_slots_;
+  mutable uint64_t snap_version_ = ~uint64_t{0};
+  mutable std::vector<uint32_t> snap_lane_begin_;
+  mutable std::vector<uint32_t> snap_cursor_;
+  mutable std::vector<std::pair<uint32_t, ColorId>> snap_entries_;
   std::vector<ColorId> snap_colors_scratch_;  // RestoreLane slot reads
 
   DlruEdfLaneKernel kernel_;

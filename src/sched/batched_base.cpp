@@ -33,8 +33,7 @@ void BatchedSchedulerBase::OnJobsDropped(Round k, ColorId c, uint64_t count,
 }
 
 void BatchedSchedulerBase::AfterDropPhase(Round k) {
-  table_.ProcessBoundary(
-      k, [this](ColorId c) { return slots_.IsCached(c); }, events_);
+  table_.ProcessBoundary(k, slots_.cached_words(), events_);
   for (ColorId c : events_.became_ineligible) OnBecameIneligible(k, c);
   for (ColorId c : events_.timestamp_updated) OnTimestampUpdated(k, c);
 }

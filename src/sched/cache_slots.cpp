@@ -1,5 +1,7 @@
 #include "sched/cache_slots.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace rrs {
@@ -18,6 +20,7 @@ void CacheSlots::Reset(uint32_t primary_slots, size_t num_colors,
   dirty_flag_.assign(primary_slots, 0);
   cached_.clear();
   in_cached_list_.assign(num_colors, 0);
+  cached_bits_.assign((num_colors + 63) / 64, 0);
 }
 
 void CacheSlots::Insert(ColorId c) {
@@ -35,6 +38,7 @@ void CacheSlots::Insert(ColorId c) {
   }
   in_cached_list_[c] = 1;
   cached_.push_back(c);
+  cached_bits_[c / 64] |= uint64_t{1} << (c % 64);
 }
 
 void CacheSlots::Evict(ColorId c) {
@@ -49,6 +53,7 @@ void CacheSlots::Evict(ColorId c) {
     dirty_slots_.push_back(slot);
   }
   in_cached_list_[c] = 0;
+  cached_bits_[c / 64] &= ~(uint64_t{1} << (c % 64));
   // Lazy removal from cached_: compact now (eviction is rare relative to
   // queries, and the list is at most `capacity_ + evictions-this-phase` long).
   size_t out = 0;
@@ -101,6 +106,12 @@ void CacheSlots::LoadState(snapshot::Reader& r) {
   r.GetVec(in_cached_list_);
   r.EndSection();
   RRS_CHECK_EQ(slot_of_.size(), in_cached_list_.size());
+  RRS_CHECK_EQ(cached_bits_.size(), (slot_of_.size() + 63) / 64)
+      << "CacheSlots restored with a different color count";
+  std::fill(cached_bits_.begin(), cached_bits_.end(), 0);
+  for (ColorId c = 0; c < slot_of_.size(); ++c) {
+    if (slot_of_[c] != kNoSlot) cached_bits_[c / 64] |= uint64_t{1} << (c % 64);
+  }
   RRS_CHECK(CheckInvariants());
 }
 
@@ -120,7 +131,13 @@ bool CacheSlots::CheckInvariants() const {
     if (!in_cached_list_[c] || slot_of_[c] == kNoSlot) return false;
     ++listed;
   }
-  return listed == size_;
+  if (listed != size_) return false;
+  if (cached_bits_.size() != (slot_of_.size() + 63) / 64) return false;
+  for (ColorId c = 0; c < slot_of_.size(); ++c) {
+    const bool bit = (cached_bits_[c / 64] >> (c % 64) & 1) != 0;
+    if (bit != (slot_of_[c] != kNoSlot)) return false;
+  }
+  return true;
 }
 
 }  // namespace rrs

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/policy.h"
@@ -41,6 +42,11 @@ class CacheSlots {
   // Currently cached colors in unspecified order.
   const std::vector<ColorId>& cached_colors() const { return cached_; }
 
+  // The cached colors as a bitset (bit c % 64 of word c / 64). Derived from
+  // the slot map, kept in step by Insert/Evict, rebuilt by Reset/LoadState
+  // and not serialized.
+  std::span<const uint64_t> cached_words() const { return cached_bits_; }
+
   // Inserts an uncached color into a free slot. Requires !full().
   void Insert(ColorId c);
 
@@ -54,7 +60,8 @@ class CacheSlots {
   // same phase (blanking a resource would bill a meaningless reconfiguration).
   void ApplyTo(ResourceView& view);
 
-  // O(capacity + colors) consistency check; test hook.
+  // O(capacity + colors) consistency check, including the cached bitset;
+  // test hook.
   bool CheckInvariants() const;
 
   // Checkpoint/restore. Everything is saved verbatim, including the
@@ -78,6 +85,7 @@ class CacheSlots {
   std::vector<uint8_t> dirty_flag_;
   std::vector<ColorId> cached_;     // lazily compacted on Evict
   std::vector<uint8_t> in_cached_list_;
+  std::vector<uint64_t> cached_bits_;
 };
 
 }  // namespace rrs

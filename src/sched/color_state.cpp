@@ -1,6 +1,7 @@
 #include "sched/color_state.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.h"
 
@@ -10,49 +11,44 @@ void ColorStateTable::Reset(const Instance& instance, uint64_t delta) {
   RRS_CHECK_GE(delta, 1u);
   instance_ = &instance;
   delta_ = delta;
-  state_.assign(instance.num_colors(), State{});
-  dd_.assign(instance.num_colors(), 0);
+  const size_t num_colors = instance.num_colors();
+  const size_t words = (num_colors + 63) / 64;
+  state_.assign(num_colors, State{});
+  eligible_bits_.assign(words, 0);
+  wrap_bits_.assign(words, 0);
 
-  const uint32_t num_colors = static_cast<uint32_t>(instance.num_colors());
   // Pooled sessions rebind tenants with identical delay layouts constantly
-  // (a batched slab requires it; sweeps and fleets commonly do). The CSR is
-  // a deterministic function of the layout, so when the surviving CSR still
-  // describes the new instance — an O(colors) scan — skip the sort+rebuild.
-  bool layout_same =
-      !group_begin_.empty() && group_begin_.back() == num_colors;
-  for (uint32_t g = 0; layout_same && g < group_delay_.size(); ++g) {
-    const Round d = group_delay_[g];
-    for (uint32_t i = group_begin_[g]; i < group_begin_[g + 1]; ++i) {
-      if (instance.delay_bound(group_color_ids_[i]) != d) {
-        layout_same = false;
-        break;
-      }
-    }
+  // (a batched slab requires it; sweeps and fleets commonly do). The groups
+  // are a deterministic function of the layout, so when every color still
+  // maps to a group of its own delay bound — an O(colors) scan — the
+  // surviving groups describe the new instance exactly.
+  bool layout_same = group_of_.size() == num_colors;
+  for (ColorId c = 0; layout_same && c < num_colors; ++c) {
+    layout_same = group_delay_[group_of_[c]] == instance.delay_bound(c);
   }
   if (!layout_same) {
-    group_color_ids_.resize(num_colors);
-    for (ColorId c = 0; c < num_colors; ++c) group_color_ids_[c] = c;
-    std::sort(group_color_ids_.begin(), group_color_ids_.end(),
-              [&instance](ColorId a, ColorId b) {
-                const Round da = instance.delay_bound(a);
-                const Round db = instance.delay_bound(b);
-                if (da != db) return da < db;
-                return a < b;
-              });
-    group_delay_.clear();
-    group_begin_.clear();
-    for (uint32_t i = 0; i < num_colors; ++i) {
-      const Round d = instance.delay_bound(group_color_ids_[i]);
-      if (group_delay_.empty() || group_delay_.back() != d) {
-        group_delay_.push_back(d);
-        group_begin_.push_back(i);
-      }
+    group_delay_.resize(num_colors);
+    for (ColorId c = 0; c < num_colors; ++c) {
+      group_delay_[c] = instance.delay_bound(c);
     }
-    group_begin_.push_back(num_colors);
+    std::sort(group_delay_.begin(), group_delay_.end());
+    group_delay_.erase(std::unique(group_delay_.begin(), group_delay_.end()),
+                       group_delay_.end());
+    group_of_.resize(num_colors);
+    group_members_.assign(group_delay_.size() * words, 0);
+    for (ColorId c = 0; c < num_colors; ++c) {
+      const uint32_t g = static_cast<uint32_t>(
+          std::lower_bound(group_delay_.begin(), group_delay_.end(),
+                           instance.delay_bound(c)) -
+          group_delay_.begin());
+      group_of_[c] = g;
+      group_members_[g * words + c / 64] |= uint64_t{1} << (c % 64);
+    }
   }
+  group_dd_.assign(group_delay_.size(), 0);
 
   eligible_list_.clear();
-  in_eligible_list_.assign(instance.num_colors(), 0);
+  in_eligible_list_.assign(num_colors, 0);
   eligible_list_dirty_ = false;
 
   epochs_completed_ = 0;
@@ -61,6 +57,58 @@ void ColorStateTable::Reset(const Instance& instance, uint64_t delta) {
   ineligible_drops_ = 0;
   wrap_events_ = 0;
   timestamp_update_events_ = 0;
+}
+
+void ColorStateTable::RebuildBits() {
+  std::fill(eligible_bits_.begin(), eligible_bits_.end(), 0);
+  std::fill(wrap_bits_.begin(), wrap_bits_.end(), 0);
+  for (ColorId c = 0; c < state_.size(); ++c) {
+    const uint64_t bit = uint64_t{1} << (c % 64);
+    if (state_[c].eligible) eligible_bits_[c / 64] |= bit;
+    if (state_[c].pending_wrap >= 0) wrap_bits_[c / 64] |= bit;
+  }
+}
+
+void ColorStateTable::ProcessBoundary(Round k,
+                                      std::span<const uint64_t> cached,
+                                      BoundaryEvents& events) {
+  events.became_ineligible.clear();
+  events.timestamp_updated.clear();
+  const size_t words = num_words();
+  RRS_DCHECK(cached.size() == words);
+  for (uint32_t g = 0; g < group_delay_.size(); ++g) {
+    const Round d = group_delay_[g];
+    if (k % d != 0) continue;
+    const uint64_t* members = group_members_.data() + g * words;
+    for (size_t w = 0; w < words; ++w) {
+      uint64_t expire = members[w] & eligible_bits_[w] & ~cached[w];
+      if (expire != 0) {
+        eligible_bits_[w] &= ~expire;
+        eligible_list_dirty_ = true;
+      }
+      for (; expire != 0; expire &= expire - 1) {
+        const ColorId c =
+            static_cast<ColorId>(w * 64 + std::countr_zero(expire));
+        State& s = state_[c];
+        s.eligible = false;
+        s.cnt = 0;
+        ++epochs_completed_;
+        events.became_ineligible.push_back(c);
+      }
+      uint64_t promote = members[w] & wrap_bits_[w];
+      wrap_bits_[w] &= ~promote;
+      for (; promote != 0; promote &= promote - 1) {
+        const ColorId c =
+            static_cast<ColorId>(w * 64 + std::countr_zero(promote));
+        State& s = state_[c];
+        s.timestamp = s.pending_wrap;
+        s.pending_wrap = -1;
+        ++timestamp_update_events_;
+        events.timestamp_updated.push_back(c);
+      }
+    }
+    group_dd_[g] = k + d;
+  }
 }
 
 void ColorStateTable::RecordDrop(ColorId c, uint64_t count) {
@@ -80,11 +128,14 @@ bool ColorStateTable::OnArrivals(Round k, ColorId c, uint64_t count) {
   s.cnt += count;
   bool became_eligible = false;
   if (s.cnt >= delta_) {
+    const uint64_t bit = uint64_t{1} << (c % 64);
     s.cnt %= delta_;  // counter wrapping event
     s.pending_wrap = k;
+    wrap_bits_[c / 64] |= bit;
     ++wrap_events_;
     if (!s.eligible) {
       s.eligible = true;
+      eligible_bits_[c / 64] |= bit;
       became_eligible = true;
       if (!in_eligible_list_[c]) {
         in_eligible_list_[c] = 1;
@@ -111,17 +162,6 @@ const std::vector<ColorId>& ColorStateTable::eligible_colors() const {
   return eligible_list_;
 }
 
-void ColorStateTable::CollectBoundaryColors(Round k,
-                                            std::vector<ColorId>& out) const {
-  out.clear();
-  for (uint32_t i = 0; i < group_delay_.size(); ++i) {
-    if (k % group_delay_[i] == 0) {
-      out.insert(out.end(), group_color_ids_.begin() + group_begin_[i],
-                 group_color_ids_.begin() + group_begin_[i + 1]);
-    }
-  }
-}
-
 void ColorStateTable::SaveState(snapshot::Writer& w) const {
   w.BeginSection(snapshot::kTagColorState);
   w.PutU64(delta_);
@@ -133,7 +173,9 @@ void ColorStateTable::SaveState(snapshot::Writer& w) const {
     w.PutBool(s.eligible);
     w.PutBool(s.saw_jobs);
   }
-  w.PutVec(dd_);
+  // One deadline word per color (the table keeps one per delay group).
+  w.PutU64(state_.size());
+  for (uint32_t g : group_of_) w.PutI64(group_dd_[g]);
   w.PutVec(eligible_list_);
   w.PutVec(in_eligible_list_);
   w.PutBool(eligible_list_dirty_);
@@ -159,7 +201,17 @@ void ColorStateTable::LoadState(snapshot::Reader& r) {
     s.eligible = r.GetBool();
     s.saw_jobs = r.GetBool();
   }
-  r.GetVec(dd_);
+  RRS_CHECK_EQ(r.GetU64(), state_.size())
+      << "ColorStateTable restored with a different deadline count";
+  // Every color of a delay group carries the group's deadline.
+  std::fill(group_dd_.begin(), group_dd_.end(), Round{-1});
+  for (uint32_t g : group_of_) {
+    const Round dd = r.GetI64();
+    RRS_CHECK_GE(dd, 0) << "ColorStateTable restored a negative deadline";
+    if (group_dd_[g] < 0) group_dd_[g] = dd;
+    RRS_CHECK_EQ(group_dd_[g], dd)
+        << "ColorStateTable restored unequal deadlines within a delay group";
+  }
   r.GetVec(eligible_list_);
   r.GetVec(in_eligible_list_);
   eligible_list_dirty_ = r.GetBool();
@@ -170,8 +222,8 @@ void ColorStateTable::LoadState(snapshot::Reader& r) {
   wrap_events_ = r.GetU64();
   timestamp_update_events_ = r.GetU64();
   r.EndSection();
-  RRS_CHECK_EQ(dd_.size(), state_.size());
   RRS_CHECK_EQ(in_eligible_list_.size(), state_.size());
+  RebuildBits();
 }
 
 uint64_t ColorStateTable::num_epochs() const {

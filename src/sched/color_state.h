@@ -20,6 +20,11 @@
 // The table also keeps the analysis counters used to test Lemmas 3.2-3.4:
 // epoch counts (an epoch of ℓ ends when ℓ becomes ineligible), eligible vs
 // ineligible drop costs, wrapping events, and timestamp update events.
+//
+// Colors sharing a delay bound form a delay group: they reach boundaries
+// together and carry the same deadline, so both are kept per group. The
+// eligible and wrap-pending predicates are mirrored as color bitsets, so
+// boundary processing visits only the colors that transition.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +41,9 @@ namespace rrs {
 class ColorStateTable {
  public:
   // Events produced by boundary processing, consumed by the policies to keep
-  // their caching structures (LruTracker etc.) in sync.
+  // their caching structures (LruTracker etc.) in sync. Both lists are in
+  // (delay group, ascending color) order.
   struct BoundaryEvents {
-    std::vector<ColorId> boundary_colors;     // colors with k % D_ℓ == 0
     std::vector<ColorId> became_ineligible;   // eligible & uncached -> ineligible
     std::vector<ColorId> timestamp_updated;   // pending wrap promoted
   };
@@ -54,50 +59,18 @@ class ColorStateTable {
   void RecordDrop(ColorId c, uint64_t count);
 
   // Runs the boundary bookkeeping of round k (both the drop-phase eligibility
-  // transition and the arrival-phase step-1 deadline/timestamp updates):
-  // for every color ℓ with k ≡ 0 (mod D_ℓ):
-  //   1. if ℓ is eligible and !is_cached(ℓ): ℓ becomes ineligible, cnt = 0
-  //      (ends the current epoch of ℓ);
-  //   2. promote a pending counter-wrap into the timestamp (a timestamp
-  //      update event);
-  //   3. set ℓ.dd = k + D_ℓ.
-  // `is_cached` is queried for eligible colors only.
-  template <typename IsCachedFn>
-  void ProcessBoundary(Round k, IsCachedFn&& is_cached, BoundaryEvents& events) {
-    CollectBoundaryColors(k, events.boundary_colors);
-    ProcessBoundaryPrecollected(k, events.boundary_colors,
-                                std::forward<IsCachedFn>(is_cached), events);
-  }
-
-  // The same transition over a precollected boundary set. Boundary
-  // membership (k ≡ 0 mod D_ℓ) depends only on the round and the delay
-  // layout, so the batched fleet collects it once per slab and replays it
-  // against every lane's table; `boundary` may alias
-  // events.boundary_colors.
-  template <typename IsCachedFn>
-  void ProcessBoundaryPrecollected(Round k, std::span<const ColorId> boundary,
-                                   IsCachedFn&& is_cached,
-                                   BoundaryEvents& events) {
-    events.became_ineligible.clear();
-    events.timestamp_updated.clear();
-    for (ColorId c : boundary) {
-      State& s = state_[c];
-      if (s.eligible && !is_cached(c)) {
-        s.eligible = false;
-        s.cnt = 0;
-        ++epochs_completed_;
-        eligible_list_dirty_ = true;
-        events.became_ineligible.push_back(c);
-      }
-      if (s.pending_wrap >= 0) {
-        s.timestamp = s.pending_wrap;
-        s.pending_wrap = -1;
-        ++timestamp_update_events_;
-        events.timestamp_updated.push_back(c);
-      }
-      dd_[c] = k + instance_->delay_bound(c);
-    }
-  }
+  // transition and the arrival-phase step-1 deadline/timestamp updates) for
+  // every delay group with k ≡ 0 (mod D):
+  //   1. every color of the group in eligible & ~cached becomes ineligible,
+  //      cnt = 0 (ends the current epoch of ℓ);
+  //   2. every color of the group in the wrap-pending set promotes its wrap
+  //      into the timestamp (a timestamp update event);
+  //   3. the group's deadline becomes k + D.
+  // `cached` is the cache's color bitset (CacheSlots::cached_words()). Steps
+  // 1-2 walk the set bits of the group mask intersected with the eligible
+  // and wrap-pending bitsets, so colors that do not transition cost nothing.
+  void ProcessBoundary(Round k, std::span<const uint64_t> cached,
+                       BoundaryEvents& events);
 
   // Arrival-phase steps 2-3 for one color: cnt += count; on reaching Δ, wrap
   // (cnt mod Δ) and make the color eligible. Returns true if the color
@@ -107,18 +80,19 @@ class ColorStateTable {
   // ---- Single-color boundary steps (lane-fused kernel) -------------------
   // The batched fleet kernel (sched/lane_kernels.h) tracks both boundary
   // predicates as per-color lane bitmasks and applies only the lanes that
-  // actually transition, so it needs the three steps of
-  // ProcessBoundaryPrecollected individually. Each caller must have
-  // established the step's precondition itself.
+  // actually transition, so it needs the three steps of ProcessBoundary
+  // individually. Each caller must have established the step's precondition
+  // itself; the color bitsets are kept in step.
 
   // Step 1 for one color: ends the epoch (caller established eligible(c) and
-  // !is_cached(c)).
+  // !cached(c)).
   void BoundaryExpire(ColorId c) {
     State& s = state_[c];
     s.eligible = false;
     s.cnt = 0;
     ++epochs_completed_;
     eligible_list_dirty_ = true;
+    eligible_bits_[c / 64] &= ~(uint64_t{1} << (c % 64));
   }
 
   // Step 2 for one color: promotes the pending wrap (caller established
@@ -128,18 +102,19 @@ class ColorStateTable {
     s.timestamp = s.pending_wrap;
     s.pending_wrap = -1;
     ++timestamp_update_events_;
+    wrap_bits_[c / 64] &= ~(uint64_t{1} << (c % 64));
     return s.timestamp;
   }
 
-  // Step 3 for one color: dd = k + D_ℓ, precomputed by the caller (it is
+  // Step 3 for one delay group: dd = k + D, precomputed by the caller (it is
   // lane-invariant across a slab).
-  void SetDeadline(ColorId c, Round dd) { dd_[c] = dd; }
+  void SetGroupDeadline(uint32_t group, Round dd) { group_dd_[group] = dd; }
 
   // ---- Queries -----------------------------------------------------------
 
   bool eligible(ColorId c) const { return state_[c].eligible; }
   uint64_t counter(ColorId c) const { return state_[c].cnt; }
-  Round deadline(ColorId c) const { return dd_[c]; }
+  Round deadline(ColorId c) const { return group_dd_[group_of_[c]]; }
   Round timestamp(ColorId c) const { return state_[c].timestamp; }
   Round pending_wrap(ColorId c) const { return state_[c].pending_wrap; }
   Round delay_bound(ColorId c) const { return instance_->delay_bound(c); }
@@ -147,11 +122,34 @@ class ColorStateTable {
   // All currently eligible colors (unordered; lazily compacted).
   const std::vector<ColorId>& eligible_colors() const;
 
-  // Colors with k ≡ 0 (mod D_ℓ), in (D, color) order — the boundary set
-  // ProcessBoundary visits for round k. Public so the batched fleet can
-  // collect once per slab (the set is lane-invariant at a fixed delay
-  // layout) and feed ProcessBoundaryPrecollected per lane.
-  void CollectBoundaryColors(Round k, std::vector<ColorId>& out) const;
+  // ---- Color bitsets -----------------------------------------------------
+  // Bit c % 64 of word c / 64. Derived from the per-color state, kept in
+  // step by every transition above and rebuilt by Reset/LoadState; never
+  // serialized.
+
+  size_t num_words() const { return eligible_bits_.size(); }
+  // Colors with eligible(c).
+  std::span<const uint64_t> eligible_words() const { return eligible_bits_; }
+  // Colors with pending_wrap(c) >= 0.
+  std::span<const uint64_t> wrap_words() const { return wrap_bits_; }
+
+  // ---- Delay groups ------------------------------------------------------
+  // The colors sharing one delay bound D, groups indexed in ascending D.
+  // Boundary membership (k ≡ 0 mod D) is a property of a whole group, and
+  // so is the color deadline: every color of a group carries dd = the last
+  // boundary round + D (0 before the first boundary), stored once per group.
+
+  uint32_t num_groups() const {
+    return static_cast<uint32_t>(group_delay_.size());
+  }
+  Round group_delay(uint32_t g) const { return group_delay_[g]; }
+  Round group_deadline(uint32_t g) const { return group_dd_[g]; }
+  uint32_t group_of(ColorId c) const { return group_of_[c]; }
+  // The group's member colors as a bitset of num_words() words.
+  std::span<const uint64_t> group_members(uint32_t g) const {
+    return std::span<const uint64_t>(group_members_).subspan(
+        g * num_words(), num_words());
+  }
 
   size_t num_colors() const { return state_.size(); }
   uint64_t delta() const { return delta_; }
@@ -172,11 +170,12 @@ class ColorStateTable {
   // into the structured metrics registry.
   void ExportMetrics(obs::Registry& registry) const;
 
-  // Checkpoint/restore of all mutable state: per-color State, deadlines,
-  // the eligible list (order and staleness included — compaction order is
-  // observable through eligible_colors()), and the analysis counters. The
-  // delay-group CSR is derived from the instance and rebuilt by Reset, so
-  // LoadState requires a table Reset against the same instance and delta.
+  // Checkpoint/restore of all mutable state: per-color State, deadlines
+  // (one word per color), the eligible list (order and staleness included —
+  // compaction order is observable through eligible_colors()), and the
+  // analysis counters. The delay groups and color bitsets are derived: Reset
+  // builds the groups from the instance and LoadState rebuilds the bitsets,
+  // so LoadState requires a table Reset against the same instance and delta.
   void SaveState(snapshot::Writer& w) const;
   void LoadState(snapshot::Reader& r);
 
@@ -189,18 +188,21 @@ class ColorStateTable {
     bool saw_jobs = false;
   };
 
+  // Rebuilds eligible_bits_ and wrap_bits_ from state_.
+  void RebuildBits();
+
   const Instance* instance_ = nullptr;
   uint64_t delta_ = 1;
   std::vector<State> state_;
-  // Color deadlines (ℓ.dd), dense: the ranking loops read them for every
-  // eligible color each round, so they live apart from the colder State.
-  std::vector<Round> dd_;
-  // Colors grouped by delay bound for O(#boundary-colors) boundary scans.
-  // CSR layout (flat color array + offsets) so Reset rebuilds the groups for
-  // a new tenant without allocating once the buffers are warm.
-  std::vector<Round> group_delay_;        // sorted distinct D
-  std::vector<ColorId> group_color_ids_;  // colors sorted by (D, color)
-  std::vector<uint32_t> group_begin_;     // group i: [begin[i], begin[i+1])
+  std::vector<uint64_t> eligible_bits_;
+  std::vector<uint64_t> wrap_bits_;
+  // Delay groups (see group_members()): sorted distinct D, per-group color
+  // deadline, color -> group, and the member bitsets, num_words() per group.
+  // Buffers keep their capacity across Resets.
+  std::vector<Round> group_delay_;
+  std::vector<Round> group_dd_;
+  std::vector<uint32_t> group_of_;
+  std::vector<uint64_t> group_members_;
 
   mutable std::vector<ColorId> eligible_list_;  // lazily compacted
   mutable std::vector<uint8_t> in_eligible_list_;

@@ -1,6 +1,7 @@
 #include "sched/dlru_edf.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.h"
 
@@ -18,49 +19,12 @@ void DlruEdfPolicy::OnReset() {
   const uint32_t num_colors = static_cast<uint32_t>(instance_->num_colors());
   tracker_.Reset(num_colors);
   evict_rng_ = Rng(params_.random_evict_seed);
-  is_lru_.assign(num_colors, 0);
+  const size_t words = table_.num_words();
+  lru_bits_.assign(words, 0);
+  desired_bits_.assign(words, 0);
   evict_first_.assign(num_colors, 0);
-  in_lru_desired_.assign(num_colors, 0);
-
-  // Delay classes for the EDF scan, colors ascending within each class: sort
-  // a flat color array by (delay bound, color) and cut it at class
-  // boundaries. All three CSR buffers reuse their capacity across Resets,
-  // and when the surviving CSR still describes the new tenant's layout — the
-  // common case for pooled/batched rebinds — the sort+rebuild is skipped
-  // (the CSR is a deterministic function of the layout).
-  bool layout_same =
-      !class_begin_.empty() && class_begin_.back() == num_colors;
-  for (uint32_t g = 0; layout_same && g < class_delay_.size(); ++g) {
-    const Round d = class_delay_[g];
-    for (uint32_t i = class_begin_[g]; i < class_begin_[g + 1]; ++i) {
-      if (instance_->delay_bound(class_color_ids_[i]) != d) {
-        layout_same = false;
-        break;
-      }
-    }
-  }
-  if (!layout_same) {
-    class_color_ids_.resize(num_colors);
-    for (ColorId c = 0; c < num_colors; ++c) class_color_ids_[c] = c;
-    std::sort(class_color_ids_.begin(), class_color_ids_.end(),
-              [this](ColorId a, ColorId b) {
-                const Round da = instance_->delay_bound(a);
-                const Round db = instance_->delay_bound(b);
-                if (da != db) return da < db;
-                return a < b;
-              });
-    class_delay_.clear();
-    class_begin_.clear();
-    for (uint32_t i = 0; i < num_colors; ++i) {
-      const Round d = instance_->delay_bound(class_color_ids_[i]);
-      if (class_delay_.empty() || class_delay_.back() != d) {
-        class_delay_.push_back(d);
-        class_begin_.push_back(i);
-      }
-    }
-    class_begin_.push_back(num_colors);
-    class_order_.reserve(class_delay_.size());
-  }
+  class_order_.reserve(table_.num_groups());
+  class_order_round_ = -1;
 }
 
 void DlruEdfPolicy::OnBecameEligible(Round k, ColorId c) {
@@ -71,7 +35,7 @@ void DlruEdfPolicy::OnBecameEligible(Round k, ColorId c) {
 void DlruEdfPolicy::OnBecameIneligible(Round k, ColorId c) {
   (void)k;
   tracker_.Remove(c);
-  is_lru_[c] = 0;
+  ClearLru(c);
   evict_first_[c] = 0;
 }
 
@@ -81,25 +45,27 @@ void DlruEdfPolicy::OnTimestampUpdated(Round k, ColorId c) {
 }
 
 void DlruEdfPolicy::Reconfigure(Round k, int mini, ResourceView& view) {
-  (void)k;
   (void)mini;
   const uint32_t edf_budget = slots_.capacity() - lru_capacity_;
 
   // ---- ΔLRU side: the top lru_capacity_ eligible colors by timestamp. ----
   tracker_.TopK(lru_capacity_, lru_desired_);
-  for (ColorId c : lru_desired_) in_lru_desired_[c] = 1;
+  for (ColorId c : lru_desired_) {
+    desired_bits_[c / 64] |= uint64_t{1} << (c % 64);
+  }
 
   // Demote cached colors that fell out of the LRU top set.
-  for (ColorId c : slots_.cached_colors()) {
-    if (is_lru_[c] && !in_lru_desired_[c]) {
-      is_lru_[c] = 0;
-      if (params_.exit_policy == LruExitPolicy::kEvictFirst) {
-        evict_first_[c] = 1;
-      }
+  const std::span<const uint64_t> cached = slots_.cached_words();
+  for (size_t w = 0; w < lru_bits_.size(); ++w) {
+    uint64_t demote = lru_bits_[w] & cached[w] & ~desired_bits_[w];
+    lru_bits_[w] &= ~demote;
+    if (params_.exit_policy != LruExitPolicy::kEvictFirst) continue;
+    for (; demote != 0; demote &= demote - 1) {
+      evict_first_[w * 64 + std::countr_zero(demote)] = 1;
     }
   }
   for (ColorId c : lru_desired_) {
-    is_lru_[c] = 1;
+    SetLru(c);
     evict_first_[c] = 0;
   }
 
@@ -107,7 +73,7 @@ void DlruEdfPolicy::Reconfigure(Round k, int mini, ResourceView& view) {
   // kEvictFirst, freshly demoted colors precede everything else.
   victims_.clear();
   for (ColorId c : slots_.cached_colors()) {
-    if (!is_lru_[c]) victims_.emplace_back(RankOf(c, view), c);
+    if (!is_lru(c)) victims_.emplace_back(RankOf(c, view), c);
   }
   std::sort(victims_.begin(), victims_.end(),
             [this](const auto& a, const auto& b) {
@@ -144,44 +110,54 @@ void DlruEdfPolicy::Reconfigure(Round k, int mini, ResourceView& view) {
   // (idle is the leading key field) and the admission loop stopped at the
   // first idle entry, so the admitted set is the top-edf_budget among the
   // nonidle candidates either way. Rank order is (dd, D, color), and every
-  // color of a delay class carries the same deadline dd = k - k mod D + D
-  // (boundary processing refreshes dd for the whole class at once), so the
-  // top set falls out of walking the ≤ |distinct D| classes in (dd, D)
-  // order and taking the first nonidle eligible non-LRU colors — the scan
-  // usually ends after a handful of colors instead of ranking all of them.
-  class_order_.clear();
-  for (uint32_t i = 0; i < class_delay_.size(); ++i) {
-    // All colors of a class share dd; read it off the first one (same
-    // source RankOf uses, so ordering is byte-identical to full ranking).
-    class_order_.emplace_back(table_.deadline(class_color_ids_[class_begin_[i]]),
-                              i);
+  // color of a delay group carries the group's deadline, so the top set
+  // falls out of walking the groups in (dd, D) order and, within a group,
+  // the set bits of group & eligible & ~lru in ascending color order,
+  // testing backlog per candidate. The walk ends at the budget, usually
+  // after a handful of candidates.
+  if (class_order_round_ != k) {
+    class_order_.clear();
+    for (uint32_t g = 0; g < table_.num_groups(); ++g) {
+      class_order_.emplace_back(table_.group_deadline(g), g);
+    }
+    std::sort(class_order_.begin(), class_order_.end());
+    class_order_round_ = k;
   }
-  std::sort(class_order_.begin(), class_order_.end());
   ranked_.clear();
-  for (const auto& [dd, i] : class_order_) {
-    for (uint32_t j = class_begin_[i]; j < class_begin_[i + 1]; ++j) {
-      const ColorId c = class_color_ids_[j];
-      if (is_lru_[c] || !table_.eligible(c)) continue;
-      if (view.pending_count(c) == 0) continue;
-      ranked_.emplace_back(RankOf(c, view), c);
-      if (ranked_.size() == edf_budget) break;
+  const std::span<const uint64_t> eligible = table_.eligible_words();
+  for (const auto& [dd, g] : class_order_) {
+    const std::span<const uint64_t> members = table_.group_members(g);
+    for (size_t w = 0; w < members.size() && ranked_.size() < edf_budget;
+         ++w) {
+      for (uint64_t cand = members[w] & eligible[w] & ~lru_bits_[w];
+           cand != 0; cand &= cand - 1) {
+        const ColorId c =
+            static_cast<ColorId>(w * 64 + std::countr_zero(cand));
+        if (view.pending_count(c) == 0) continue;
+        ranked_.push_back(c);
+        if (ranked_.size() == edf_budget) break;
+      }
     }
     if (ranked_.size() == edf_budget) break;
   }
-  for (const auto& [key, c] : ranked_) {
+  for (ColorId c : ranked_) {
     if (slots_.IsCached(c)) continue;
     if (slots_.full()) evict_one();
     slots_.Insert(c);
   }
 
-  for (ColorId c : lru_desired_) in_lru_desired_[c] = 0;
+  for (ColorId c : lru_desired_) {
+    desired_bits_[c / 64] &= ~(uint64_t{1} << (c % 64));
+  }
   slots_.ApplyTo(view);
 }
 
 void DlruEdfPolicy::SaveState(snapshot::Writer& w) const {
   BatchedSchedulerBase::SaveState(w);
   w.BeginSection(snapshot::kTagPolicyDlruEdf);
-  w.PutVec(is_lru_);
+  const size_t num_colors = table_.num_colors();
+  w.PutU64(num_colors);
+  for (ColorId c = 0; c < num_colors; ++c) w.PutBool(is_lru(c));
   w.PutVec(evict_first_);
   for (uint64_t word : evict_rng_.SaveState()) w.PutU64(word);
   w.EndSection();
@@ -191,15 +167,21 @@ void DlruEdfPolicy::SaveState(snapshot::Writer& w) const {
 void DlruEdfPolicy::LoadState(snapshot::Reader& r) {
   BatchedSchedulerBase::LoadState(r);
   r.BeginSection(snapshot::kTagPolicyDlruEdf);
-  r.GetVec(is_lru_);
+  const size_t num_colors = instance_->num_colors();
+  RRS_CHECK_EQ(r.GetU64(), num_colors)
+      << "DlruEdfPolicy restored with a different color count";
+  std::fill(lru_bits_.begin(), lru_bits_.end(), 0);
+  for (ColorId c = 0; c < num_colors; ++c) {
+    if (r.GetBool()) SetLru(c);
+  }
   r.GetVec(evict_first_);
   std::array<uint64_t, 4> rng_state;
   for (uint64_t& word : rng_state) word = r.GetU64();
   evict_rng_.LoadState(rng_state);
   r.EndSection();
   tracker_.LoadState(r);
-  RRS_CHECK_EQ(is_lru_.size(), instance_->num_colors());
-  RRS_CHECK_EQ(evict_first_.size(), instance_->num_colors());
+  RRS_CHECK_EQ(evict_first_.size(), num_colors);
+  class_order_round_ = -1;
 }
 
 }  // namespace rrs

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "container/lru_tracker.h"
@@ -65,8 +66,16 @@ class DlruEdfPolicy : public BatchedSchedulerBase {
   uint64_t ineligible_drop_cost() const { return table_.ineligible_drops(); }
   uint64_t num_epochs() const { return table_.num_epochs(); }
 
-  // Checkpoint/restore: shared batched state plus the LRU membership marks,
-  // kEvictFirst demotion marks, random-evict RNG stream, and the tracker.
+  // Whether c is currently an LRU-color (cached by the ΔLRU side).
+  bool is_lru(ColorId c) const {
+    return (lru_bits_[c / 64] >> (c % 64) & 1) != 0;
+  }
+  // The LRU-colors as a color bitset (bit c % 64 of word c / 64).
+  std::span<const uint64_t> lru_words() const { return lru_bits_; }
+
+  // Checkpoint/restore: shared batched state plus the LRU membership marks
+  // (one word per color), kEvictFirst demotion marks, random-evict RNG
+  // stream, and the tracker.
   void SaveState(snapshot::Writer& w) const override;
   void LoadState(snapshot::Reader& r) override;
 
@@ -82,6 +91,11 @@ class DlruEdfPolicy : public BatchedSchedulerBase {
   void OnTimestampUpdated(Round k, ColorId c) override;
 
  private:
+  void SetLru(ColorId c) { lru_bits_[c / 64] |= uint64_t{1} << (c % 64); }
+  void ClearLru(ColorId c) {
+    lru_bits_[c / 64] &= ~(uint64_t{1} << (c % 64));
+  }
+
   // The lane-fused fleet kernel (sched/lane_kernels.h) reimplements this
   // policy's phase processing non-virtually over slab lanes, sharing the
   // lane-invariant work; it needs the same access the member functions have.
@@ -91,22 +105,21 @@ class DlruEdfPolicy : public BatchedSchedulerBase {
   uint32_t lru_capacity_ = 0;
   LruTracker tracker_{0};
 
-  std::vector<uint8_t> is_lru_;          // color -> currently an LRU-color
+  // LRU membership as a color bitset; set and cleared only through SetLru
+  // and ClearLru (the lane kernel writes it too).
+  std::vector<uint64_t> lru_bits_;
   std::vector<uint8_t> evict_first_;     // kEvictFirst demotion mark
   std::vector<ColorId> lru_desired_;
-  std::vector<uint8_t> in_lru_desired_;
-  std::vector<std::pair<ColorRankKey, ColorId>> ranked_;
+  std::vector<uint64_t> desired_bits_;   // lru_desired_ as a color bitset
+  std::vector<ColorId> ranked_;          // this mini's EDF admissions
   std::vector<std::pair<ColorRankKey, ColorId>> victims_;
-  // Colors grouped by delay bound (ascending colors within a class), plus a
-  // per-round scratch of (class deadline, class index). Every color of a
-  // class shares the same color deadline at any round, so the EDF scan walks
-  // classes in (dd, D) order instead of ranking all eligible colors.
-  // CSR layout (flat color array + offsets, both reused across Resets) so
-  // rebuilding the classes for a new tenant allocates nothing once warm.
-  std::vector<Round> class_delay_;       // sorted distinct D
-  std::vector<ColorId> class_color_ids_; // colors sorted by (D, color)
-  std::vector<uint32_t> class_begin_;    // class i owns [begin[i], begin[i+1])
+  // Delay groups of the color table in (group deadline, D) order: every
+  // color of a group shares its deadline, so the EDF scan walks groups in
+  // this order and colors within a group in ascending order, which is
+  // exactly rank order (dd, D, color). Deadlines move only at boundaries,
+  // so the order is rebuilt once per round (class_order_round_).
   std::vector<std::pair<Round, uint32_t>> class_order_;
+  Round class_order_round_ = -1;
   Rng evict_rng_{0};
 };
 

@@ -17,10 +17,9 @@ void DlruEdfLaneKernel::SetShape(size_t num_colors, uint32_t width,
   lru_bits_.assign(num_colors, 0);
   cached_bits_.assign(num_colors, 0);
   wrap_bits_.assign(num_colors, 0);
-  shared_dd_.assign(num_colors, 0);
   ranked_stride_ = num_colors;
   ranked_colors_.assign(num_colors * kMaxLanes, 0);
-  boundary_round_ = -1;
+  shared_dd_.clear();
   class_order_round_ = -1;
   // Rebuild the bitmask mirrors of any surviving bindings (shape adoption
   // with open lanes never changes num_colors, but the storage may have been
@@ -66,7 +65,7 @@ void DlruEdfLaneKernel::ResyncLane(uint32_t lane) {
     } else {
       eligible_bits_[c] &= ~bit;
     }
-    if (p.is_lru_[c]) {
+    if (p.is_lru(color)) {
       lru_bits_[c] |= bit;
     } else {
       lru_bits_[c] &= ~bit;
@@ -81,10 +80,13 @@ void DlruEdfLaneKernel::ResyncLane(uint32_t lane) {
     } else {
       wrap_bits_[c] &= ~bit;
     }
-    // The deadline table is a deterministic function of (round, layout), so
-    // any lane's fresh copy — a Reset policy at round 0, or a restored
-    // snapshot at the slab's round — is the shared one.
-    shared_dd_[c] = p.table_.deadline(color);
+  }
+  // The deadline table is a deterministic function of (round, layout), so
+  // any lane's fresh copy — a Reset policy at round 0, or a restored
+  // snapshot at the slab's round — is the shared one.
+  shared_dd_.resize(p.table_.num_groups());
+  for (uint32_t g = 0; g < p.table_.num_groups(); ++g) {
+    shared_dd_[g] = p.table_.group_deadline(g);
   }
   tracker_dirty_ |= bit;
   desired_valid_ &= ~bit;
@@ -97,63 +99,69 @@ void DlruEdfLaneKernel::ResyncLane(uint32_t lane) {
       static_cast<uint32_t>(p.slots_.capacity()) - p.lru_capacity_;
   // A (re)bound lane may carry a different deadline table than the previous
   // occupant of the slab; recompute the shared per-round scratch.
-  boundary_round_ = -1;
   class_order_round_ = -1;
 }
 
 void DlruEdfLaneKernel::AfterDropPhase(Round k, uint64_t mask) {
   if (mask == 0) return;
-  // The boundary set depends only on the round and the delay layout, which
-  // is uniform across the slab: collect it off the first lane's table.
+  // The delay groups depend only on the delay layout, which is uniform
+  // across the slab: walk the first lane's.
   const uint32_t first = static_cast<uint32_t>(std::countr_zero(mask));
   const ColorStateTable& t0 = lanes_[first].policy->table_;
-  t0.CollectBoundaryColors(k, boundary_colors_);
-  boundary_round_ = k;
 
-  // Color-major over the boundary set: both per-lane predicates are exact
-  // mask intersections, so lanes that do not transition pay only the shared
-  // mask loads. Per-lane step order (expire, then promote, then deadline,
-  // color by color in boundary order) matches the scalar
-  // ProcessBoundaryPrecollected because operations on distinct lanes
+  // Color-major over the due groups' members: both per-lane predicates are
+  // exact mask intersections, so lanes that do not transition pay only the
+  // shared mask loads. Per-lane step order (expire, then promote, color by
+  // color in (group, ascending color) order) matches the scalar
+  // ProcessBoundary because operations on distinct lanes and colors
   // commute.
-  for (ColorId c : boundary_colors_) {
-    // Step 1: eligible & uncached lanes end the color's epoch.
-    uint64_t expire = mask & eligible_bits_[c] & ~cached_bits_[c];
-    eligible_bits_[c] &= ~expire;
-    lru_bits_[c] &= ~expire;
-    tracker_dirty_ |= expire;  // the tracker Remove below always mutates
-    for (; expire != 0; expire &= expire - 1) {
-      const uint32_t lane = static_cast<uint32_t>(std::countr_zero(expire));
-      DlruEdfPolicy& p = *lanes_[lane].policy;
-      p.table_.BoundaryExpire(c);
-      // Mirrors DlruEdfPolicy::OnBecameIneligible.
-      p.tracker_.Remove(c);
-      p.is_lru_[c] = 0;
-      p.evict_first_[c] = 0;
-    }
-    // Step 2: promote pending wraps into timestamps.
-    uint64_t wraps = mask & wrap_bits_[c];
-    wrap_bits_[c] &= ~wraps;
-    for (; wraps != 0; wraps &= wraps - 1) {
-      const uint32_t lane = static_cast<uint32_t>(std::countr_zero(wraps));
-      DlruEdfPolicy& p = *lanes_[lane].policy;
-      const Round ts = p.table_.BoundaryPromoteWrap(c);
-      // Mirrors DlruEdfPolicy::OnTimestampUpdated.
-      if (p.tracker_.Contains(c)) {
-        p.tracker_.Touch(c, ts);
-        tracker_dirty_ |= uint64_t{1} << lane;
+  for (uint32_t g = 0; g < t0.num_groups(); ++g) {
+    const Round d = t0.group_delay(g);
+    if (k % d != 0) continue;
+    const std::span<const uint64_t> members = t0.group_members(g);
+    for (size_t w = 0; w < members.size(); ++w) {
+      for (uint64_t colors = members[w]; colors != 0; colors &= colors - 1) {
+        const ColorId c =
+            static_cast<ColorId>(w * 64 + std::countr_zero(colors));
+        // Step 1: eligible & uncached lanes end the color's epoch.
+        uint64_t expire = mask & eligible_bits_[c] & ~cached_bits_[c];
+        eligible_bits_[c] &= ~expire;
+        lru_bits_[c] &= ~expire;
+        tracker_dirty_ |= expire;  // the tracker Remove below always mutates
+        for (; expire != 0; expire &= expire - 1) {
+          const uint32_t lane = static_cast<uint32_t>(std::countr_zero(expire));
+          DlruEdfPolicy& p = *lanes_[lane].policy;
+          p.table_.BoundaryExpire(c);
+          // Mirrors DlruEdfPolicy::OnBecameIneligible.
+          p.tracker_.Remove(c);
+          p.ClearLru(c);
+          p.evict_first_[c] = 0;
+        }
+        // Step 2: promote pending wraps into timestamps.
+        uint64_t wraps = mask & wrap_bits_[c];
+        wrap_bits_[c] &= ~wraps;
+        for (; wraps != 0; wraps &= wraps - 1) {
+          const uint32_t lane = static_cast<uint32_t>(std::countr_zero(wraps));
+          DlruEdfPolicy& p = *lanes_[lane].policy;
+          const Round ts = p.table_.BoundaryPromoteWrap(c);
+          // Mirrors DlruEdfPolicy::OnTimestampUpdated.
+          if (p.tracker_.Contains(c)) {
+            p.tracker_.Touch(c, ts);
+            tracker_dirty_ |= uint64_t{1} << lane;
+          }
+        }
       }
     }
-    // Step 3: dd = k + D, lane-invariant: one shared store. Lane tables go
-    // stale here; FlushDeadlines restores them before snapshots.
-    shared_dd_[c] = k + t0.delay_bound(c);
+    // Step 3: dd = k + D, lane-invariant: one shared store per group. Lane
+    // tables go stale here; FlushDeadlines restores them before snapshots.
+    shared_dd_[g] = k + d;
   }
 }
 
 void DlruEdfLaneKernel::FlushDeadlines(uint32_t lane) const {
   ColorStateTable& table = lanes_[lane].policy->table_;
-  for (size_t c = 0; c < shared_dd_.size(); ++c) {
-    table.SetDeadline(static_cast<ColorId>(c), shared_dd_[c]);
+  for (uint32_t g = 0; g < shared_dd_.size(); ++g) {
+    table.SetGroupDeadline(g, shared_dd_[g]);
   }
 }
 
@@ -166,10 +174,11 @@ void DlruEdfLaneKernel::ApplySlow(uint32_t lane, LaneState& lane_state,
   // read the shared deadline table — identical values to the lane's RankOf.
   victims_.clear();
   for (ColorId c : p.slots_.cached_colors()) {
-    if (!p.is_lru_[c]) {
+    if (!p.is_lru(c)) {
       victims_.emplace_back(
           ColorRankKey{view.pending_count(c) == 0 ? uint8_t{1} : uint8_t{0},
-                       shared_dd_[c], p.instance_->delay_bound(c), c},
+                       shared_dd_[p.table_.group_of(c)],
+                       p.instance_->delay_bound(c), c},
           c);
     }
   }
@@ -235,12 +244,17 @@ void DlruEdfLaneKernel::Reconfigure(Round k, int mini, uint64_t mask,
     lane_state.desired = topk_scratch_;
     desired_changed_ |= bit;
     // Scalar demote/mark, with the lane-bit mirror kept in step. When the
-    // desired set is unchanged these loops are no-ops (is_lru_ equals the
-    // desired set between phases), which is why they only run on change.
-    for (ColorId c : lane_state.desired) p.in_lru_desired_[c] = 1;
-    for (ColorId c : p.slots_.cached_colors()) {
-      if (p.is_lru_[c] && !p.in_lru_desired_[c]) {
-        p.is_lru_[c] = 0;
+    // desired set is unchanged these loops are no-ops (the LRU set equals
+    // the desired set between phases), which is why they only run on change.
+    for (ColorId c : lane_state.desired) {
+      p.desired_bits_[c / 64] |= uint64_t{1} << (c % 64);
+    }
+    const std::span<const uint64_t> cached = p.slots_.cached_words();
+    for (size_t w = 0; w < p.lru_bits_.size(); ++w) {
+      uint64_t demote = p.lru_bits_[w] & cached[w] & ~p.desired_bits_[w];
+      p.lru_bits_[w] &= ~demote;
+      for (; demote != 0; demote &= demote - 1) {
+        const size_t c = w * 64 + std::countr_zero(demote);
         lru_bits_[c] &= ~bit;
         if (p.params_.exit_policy == LruExitPolicy::kEvictFirst) {
           p.evict_first_[c] = 1;
@@ -248,10 +262,10 @@ void DlruEdfLaneKernel::Reconfigure(Round k, int mini, uint64_t mask,
       }
     }
     for (ColorId c : lane_state.desired) {
-      p.is_lru_[c] = 1;
+      p.SetLru(c);
       lru_bits_[c] |= bit;
       p.evict_first_[c] = 0;
-      p.in_lru_desired_[c] = 0;
+      p.desired_bits_[c / 64] &= ~(uint64_t{1} << (c % 64));
     }
   }
   tracker_dirty_ &= ~mask;
@@ -263,11 +277,9 @@ void DlruEdfLaneKernel::Reconfigure(Round k, int mini, uint64_t mask,
   // order is shared by every lane and constant across the round's
   // mini-rounds.
   if (class_order_round_ != k) {
-    DlruEdfPolicy& p0 = *lanes_[std::countr_zero(mask)].policy;
     class_order_.clear();
-    for (uint32_t i = 0; i < p0.class_delay_.size(); ++i) {
-      class_order_.emplace_back(
-          shared_dd_[p0.class_color_ids_[p0.class_begin_[i]]], i);
+    for (uint32_t g = 0; g < shared_dd_.size(); ++g) {
+      class_order_.emplace_back(shared_dd_[g], g);
     }
     std::sort(class_order_.begin(), class_order_.end());
     class_order_round_ = k;
@@ -278,25 +290,29 @@ void DlruEdfLaneKernel::Reconfigure(Round k, int mini, uint64_t mask,
   // exactly the lanes whose apply step must run the eviction machinery.
   uint64_t edf_missing = 0;
   std::memset(ranked_len_, 0, sizeof(ranked_len_));
-  const DlruEdfPolicy& p0 = *lanes_[std::countr_zero(mask)].policy;
-  for (const auto& [dd, i] : class_order_) {
-    if (need == 0) break;
-    for (uint32_t j = p0.class_begin_[i]; j < p0.class_begin_[i + 1]; ++j) {
-      // The class CSR is derived from the slab-uniform delay layout, so any
-      // lane's copy describes every lane.
-      const ColorId c = p0.class_color_ids_[j];
-      uint64_t cand = need & eligible_bits_[c] & ~lru_bits_[c] & backlog_[c];
-      if (cand == 0) continue;
-      edf_missing |= cand & ~cached_bits_[c];
-      for (; cand != 0; cand &= cand - 1) {
-        const uint32_t lane = static_cast<uint32_t>(std::countr_zero(cand));
-        ranked_colors_[lane * ranked_stride_ + ranked_len_[lane]++] = c;
-        if (ranked_len_[lane] == lanes_[lane].edf_cap) {
-          need &= ~(uint64_t{1} << lane);
+  // The delay groups are derived from the slab-uniform delay layout, so any
+  // lane's table describes every lane.
+  const ColorStateTable& t0 = lanes_[std::countr_zero(mask)].policy->table_;
+  for (const auto& [dd, g] : class_order_) {
+    const std::span<const uint64_t> members = t0.group_members(g);
+    for (size_t w = 0; w < members.size() && need != 0; ++w) {
+      for (uint64_t colors = members[w]; colors != 0; colors &= colors - 1) {
+        const ColorId c =
+            static_cast<ColorId>(w * 64 + std::countr_zero(colors));
+        uint64_t cand = need & eligible_bits_[c] & ~lru_bits_[c] & backlog_[c];
+        if (cand == 0) continue;
+        edf_missing |= cand & ~cached_bits_[c];
+        for (; cand != 0; cand &= cand - 1) {
+          const uint32_t lane = static_cast<uint32_t>(std::countr_zero(cand));
+          ranked_colors_[lane * ranked_stride_ + ranked_len_[lane]++] = c;
+          if (ranked_len_[lane] == lanes_[lane].edf_cap) {
+            need &= ~(uint64_t{1} << lane);
+          }
         }
+        if (need == 0) break;
       }
-      if (need == 0) break;
     }
+    if (need == 0) break;
   }
 
   // ---- Apply: only lanes that actually need a slot change. ---------------

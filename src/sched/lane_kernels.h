@@ -8,9 +8,10 @@
 // lane-invariant work across the slab and skip per-lane work that provably
 // cannot change the outcome:
 //
-//  - the boundary set of round k (colors with k % D_c == 0) depends only on
-//    the delay layout, which is part of the slab shape: collected once per
-//    round and replayed against every lane's ColorStateTable;
+//  - the boundary set of round k (the delay groups with k % D == 0) depends
+//    only on the delay layout, which is part of the slab shape: the due
+//    groups' member bitsets are walked once per round, applying each color's
+//    transitions to every lane's ColorStateTable at once;
 //  - color deadlines are lane-invariant (dd = k - k%D + D is set
 //    unconditionally at boundary rounds), so the EDF class order is computed
 //    and sorted once per round and reused by every lane and mini-round;
@@ -63,7 +64,7 @@ class DlruEdfLaneKernel {
   // state changed out of band (LoadState on a restored lane).
   void ResyncLane(uint32_t lane);
 
-  // Writes the shared deadline table back into the lane's ColorStateTable.
+  // Writes the shared group deadlines back into the lane's ColorStateTable.
   // Deadlines are lane-invariant, so the kernel keeps one copy (shared_dd_)
   // and lane tables go stale during a run; the batch engine flushes before a
   // lane snapshot so the serialized bytes match the scalar engine's.
@@ -79,8 +80,8 @@ class DlruEdfLaneKernel {
     (void)k;
   }
 
-  // Boundary processing for every lane in `mask`: one shared collection,
-  // per-lane transitions and tracker maintenance.
+  // Boundary processing for every lane in `mask`: one shared walk of the
+  // due groups, per-lane transitions and tracker maintenance.
   void AfterDropPhase(Round k, uint64_t mask);
 
   // Arrival-phase update for one (lane, color) run.
@@ -140,10 +141,11 @@ class DlruEdfLaneKernel {
   uint32_t ranked_len_[kMaxLanes] = {};
   size_t ranked_stride_ = 0;
 
-  // The slab's deadline table: dd = k - k mod D + D is set unconditionally
+  // The slab's group deadlines: dd = k - k mod D + D is set unconditionally
   // at boundary rounds, which depend only on the shared delay layout, so
-  // every lane's dd_ would hold exactly these values. One store per boundary
-  // color replaces 64; FlushDeadlines restores a lane's copy on demand.
+  // every lane's table would hold exactly these values. One store per due
+  // group replaces one per lane; FlushDeadlines restores a lane's copy on
+  // demand.
   std::vector<Round> shared_dd_;
 
   // Per-color lane bitmask mirrors of per-lane policy state, maintained by
@@ -151,13 +153,11 @@ class DlruEdfLaneKernel {
   // evaluates both boundary predicates as mask intersections, so lanes that
   // do not transition at a boundary cost nothing.
   std::vector<uint64_t> eligible_bits_;  // table_.eligible(c)
-  std::vector<uint64_t> lru_bits_;       // is_lru_[c]
+  std::vector<uint64_t> lru_bits_;       // policy is_lru(c)
   std::vector<uint64_t> cached_bits_;    // slots_.IsCached(c)
   std::vector<uint64_t> wrap_bits_;      // table_.pending_wrap(c) >= 0
 
   // Shared per-round scratch.
-  Round boundary_round_ = -1;
-  std::vector<ColorId> boundary_colors_;
   Round class_order_round_ = -1;
   std::vector<std::pair<Round, uint32_t>> class_order_;
   std::vector<ColorId> topk_scratch_;

@@ -23,7 +23,8 @@
 // stored snapshots (worker loss can hand back damaged bytes).
 //
 // Values narrower than a word (uint32, bool, uint8 flags) are widened; spans
-// are written as a count word followed by one word per element. This trades
+// are written as a count word followed by one word per element (64-bit
+// element spans are copied in and out in bulk). This trades
 // space for simplicity and random-access debuggability — snapshots of 10k
 // round sessions are a few KiB and cost well under 5% of simulate time
 // (gated by bench/bench_snapshot).
@@ -34,7 +35,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "util/check.h"
@@ -131,10 +134,21 @@ class Writer {
 
   // Count word followed by one word per element. T: any integral type whose
   // values survive a round-trip through uint64 (all the repo's state types).
+  // 64-bit elements already are their words: one bulk copy.
   template <typename T>
   void PutSpan(std::span<const T> values) {
+    static_assert(std::is_integral_v<T>);
     PutU64(values.size());
-    for (const T& v : values) PutU64(static_cast<uint64_t>(v));
+    if constexpr (sizeof(T) == sizeof(uint64_t)) {
+      const size_t at = words_.size();
+      words_.resize(at + values.size());
+      if (!values.empty()) {
+        std::memcpy(words_.data() + at, values.data(),
+                    values.size() * sizeof(uint64_t));
+      }
+    } else {
+      for (const T& v : values) PutU64(static_cast<uint64_t>(v));
+    }
   }
   template <typename T>
   void PutVec(const std::vector<T>& values) {
@@ -217,17 +231,24 @@ class Reader {
     return v != 0;
   }
 
+  // Reads a PutSpan/PutVec span. The span is bounds-checked against the
+  // section once; 64-bit elements are one bulk copy.
   template <typename T>
   void GetVec(std::vector<T>& out) {
+    static_assert(std::is_integral_v<T>);
     const uint64_t n = GetU64();
     RRS_CHECK(section_end_ != kNone && n <= section_end_ - pos_)
         << "snapshot span overruns section";
-    out.clear();
-    out.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      if constexpr (sizeof(T) == 8) {
-        out.push_back(static_cast<T>(GetU64()));
-      } else {
+    if constexpr (sizeof(T) == sizeof(uint64_t)) {
+      out.resize(n);
+      if (n != 0) {
+        std::memcpy(out.data(), words_.data() + pos_, n * sizeof(uint64_t));
+      }
+      pos_ += n;
+    } else {
+      out.clear();
+      out.reserve(n);
+      for (uint64_t i = 0; i < n; ++i) {
         const uint64_t v = GetU64();
         const T narrowed = static_cast<T>(v);
         RRS_CHECK_EQ(static_cast<uint64_t>(narrowed), v)

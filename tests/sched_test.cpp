@@ -70,6 +70,11 @@ class FakeView : private FakeViewPending, public ResourceView {
   uint64_t reconfigs_ = 0;
 };
 
+// One-word cache bitsets for the ProcessBoundary tests (instances here have
+// fewer than 64 colors).
+const std::vector<uint64_t> kNoneCached = {0};
+const std::vector<uint64_t> kAllCached = {~uint64_t{0}};
+
 Instance SimpleInstance(Round d0 = 2, Round d1 = 4) {
   InstanceBuilder b;
   b.AddColor(d0);
@@ -109,16 +114,15 @@ TEST(ColorStateTable, TimestampPromotedAtNextBoundary) {
   ColorStateTable table;
   table.Reset(inst, 2);
   ColorStateTable::BoundaryEvents events;
-  auto uncached = [](ColorId) { return false; };
 
   // Round 0: boundary, no wraps pending; then a wrap at round 0.
-  table.ProcessBoundary(0, uncached, events);
+  table.ProcessBoundary(0, kNoneCached, events);
   EXPECT_TRUE(events.timestamp_updated.empty());
   table.OnArrivals(0, 0, 2);  // wrap at round 0
   EXPECT_EQ(table.timestamp(0), 0);  // not yet promoted
 
   // Round 2: next multiple of D_0 = 2 -> promotion.
-  table.ProcessBoundary(2, [](ColorId) { return true; }, events);
+  table.ProcessBoundary(2, kAllCached, events);
   ASSERT_EQ(events.timestamp_updated.size(), 1u);
   EXPECT_EQ(events.timestamp_updated[0], 0u);
   EXPECT_EQ(table.timestamp(0), 0);  // the wrap happened in round 0
@@ -126,7 +130,7 @@ TEST(ColorStateTable, TimestampPromotedAtNextBoundary) {
 
   // A wrap at round 2, promoted at round 4.
   table.OnArrivals(2, 0, 2);
-  table.ProcessBoundary(4, [](ColorId) { return true; }, events);
+  table.ProcessBoundary(4, kAllCached, events);
   EXPECT_EQ(table.timestamp(0), 2);
 }
 
@@ -135,14 +139,24 @@ TEST(ColorStateTable, BoundaryColorsFollowDelayBounds) {
   ColorStateTable table;
   table.Reset(inst, 2);
   ColorStateTable::BoundaryEvents events;
-  auto uncached = [](ColorId) { return false; };
 
-  table.ProcessBoundary(2, uncached, events);
-  EXPECT_EQ(events.boundary_colors, (std::vector<ColorId>{0}));  // only D=2
-  table.ProcessBoundary(4, uncached, events);
-  EXPECT_EQ(events.boundary_colors, (std::vector<ColorId>{0, 1}));
-  table.ProcessBoundary(3, uncached, events);
-  EXPECT_TRUE(events.boundary_colors.empty());
+  // One delay group per distinct bound, ascending D, as member bitsets.
+  ASSERT_EQ(table.num_groups(), 2u);
+  EXPECT_EQ(table.group_delay(0), 2);
+  EXPECT_EQ(table.group_members(0)[0], 0b01u);
+  EXPECT_EQ(table.group_delay(1), 4);
+  EXPECT_EQ(table.group_members(1)[0], 0b10u);
+
+  // A boundary round refreshes the deadlines of exactly its due groups.
+  table.ProcessBoundary(2, kNoneCached, events);  // only D=2
+  EXPECT_EQ(table.deadline(0), 4);
+  EXPECT_EQ(table.deadline(1), 0);
+  table.ProcessBoundary(4, kNoneCached, events);
+  EXPECT_EQ(table.deadline(0), 6);
+  EXPECT_EQ(table.deadline(1), 8);
+  table.ProcessBoundary(3, kNoneCached, events);  // no group due
+  EXPECT_EQ(table.deadline(0), 6);
+  EXPECT_EQ(table.deadline(1), 8);
 }
 
 TEST(ColorStateTable, UncachedEligibleBecomesIneligibleAtBoundary) {
@@ -153,7 +167,7 @@ TEST(ColorStateTable, UncachedEligibleBecomesIneligibleAtBoundary) {
   ASSERT_TRUE(table.eligible(0));
 
   ColorStateTable::BoundaryEvents events;
-  table.ProcessBoundary(2, [](ColorId) { return false; }, events);
+  table.ProcessBoundary(2, kNoneCached, events);
   ASSERT_EQ(events.became_ineligible.size(), 1u);
   EXPECT_FALSE(table.eligible(0));
   EXPECT_EQ(table.counter(0), 0u);
@@ -166,7 +180,7 @@ TEST(ColorStateTable, CachedEligibleStaysEligibleAtBoundary) {
   table.Reset(inst, 2);
   table.OnArrivals(0, 0, 2);
   ColorStateTable::BoundaryEvents events;
-  table.ProcessBoundary(2, [](ColorId) { return true; }, events);
+  table.ProcessBoundary(2, kAllCached, events);
   EXPECT_TRUE(events.became_ineligible.empty());
   EXPECT_TRUE(table.eligible(0));
 }
@@ -176,8 +190,7 @@ TEST(ColorStateTable, DeadlineSetAtBoundary) {
   ColorStateTable table;
   table.Reset(inst, 2);
   ColorStateTable::BoundaryEvents events;
-  auto cached = [](ColorId) { return true; };
-  table.ProcessBoundary(4, cached, events);
+  table.ProcessBoundary(4, kAllCached, events);
   EXPECT_EQ(table.deadline(0), 6);  // 4 + 2
   EXPECT_EQ(table.deadline(1), 8);  // 4 + 4
 }
@@ -212,7 +225,7 @@ TEST(ColorStateTable, EligibleColorsListTracksState) {
   table.OnArrivals(0, 1, 1);
   EXPECT_EQ(table.eligible_colors().size(), 2u);
   ColorStateTable::BoundaryEvents events;
-  table.ProcessBoundary(2, [](ColorId c) { return c == 0; }, events);
+  table.ProcessBoundary(2, std::vector<uint64_t>{0b01}, events);
   EXPECT_EQ(table.eligible_colors().size(), 1u);
   EXPECT_EQ(table.eligible_colors()[0], 0u);
 }
