@@ -59,13 +59,12 @@ void ColorStateTable::Reset(const Instance& instance, uint64_t delta) {
   timestamp_update_events_ = 0;
 }
 
-void ColorStateTable::RebuildBits() {
-  std::fill(eligible_bits_.begin(), eligible_bits_.end(), 0);
+void ColorStateTable::RebuildWrapBits() {
   std::fill(wrap_bits_.begin(), wrap_bits_.end(), 0);
   for (ColorId c = 0; c < state_.size(); ++c) {
-    const uint64_t bit = uint64_t{1} << (c % 64);
-    if (state_[c].eligible) eligible_bits_[c / 64] |= bit;
-    if (state_[c].pending_wrap >= 0) wrap_bits_[c / 64] |= bit;
+    if (state_[c].pending_wrap >= 0) {
+      wrap_bits_[c / 64] |= uint64_t{1} << (c % 64);
+    }
   }
 }
 
@@ -89,9 +88,7 @@ void ColorStateTable::ProcessBoundary(Round k,
       for (; expire != 0; expire &= expire - 1) {
         const ColorId c =
             static_cast<ColorId>(w * 64 + std::countr_zero(expire));
-        State& s = state_[c];
-        s.eligible = false;
-        s.cnt = 0;
+        state_[c].cnt = 0;
         ++epochs_completed_;
         events.became_ineligible.push_back(c);
       }
@@ -112,7 +109,7 @@ void ColorStateTable::ProcessBoundary(Round k,
 }
 
 void ColorStateTable::RecordDrop(ColorId c, uint64_t count) {
-  if (state_[c].eligible) {
+  if (eligible(c)) {
     eligible_drops_ += count;
   } else {
     ineligible_drops_ += count;
@@ -133,8 +130,7 @@ bool ColorStateTable::OnArrivals(Round k, ColorId c, uint64_t count) {
     s.pending_wrap = k;
     wrap_bits_[c / 64] |= bit;
     ++wrap_events_;
-    if (!s.eligible) {
-      s.eligible = true;
+    if ((eligible_bits_[c / 64] & bit) == 0) {
       eligible_bits_[c / 64] |= bit;
       became_eligible = true;
       if (!in_eligible_list_[c]) {
@@ -152,7 +148,7 @@ const std::vector<ColorId>& ColorStateTable::eligible_colors() const {
   size_t out = 0;
   for (size_t i = 0; i < eligible_list_.size(); ++i) {
     ColorId c = eligible_list_[i];
-    if (state_[c].eligible) {
+    if (eligible(c)) {
       eligible_list_[out++] = c;
     } else {
       in_eligible_list_[c] = 0;
@@ -166,11 +162,12 @@ void ColorStateTable::SaveState(snapshot::Writer& w) const {
   w.BeginSection(snapshot::kTagColorState);
   w.PutU64(delta_);
   w.PutU64(state_.size());
-  for (const State& s : state_) {
+  for (ColorId c = 0; c < state_.size(); ++c) {
+    const State& s = state_[c];
     w.PutU64(s.cnt);
     w.PutI64(s.timestamp);
     w.PutI64(s.pending_wrap);
-    w.PutBool(s.eligible);
+    w.PutBool(eligible(c));
     w.PutBool(s.saw_jobs);
   }
   // One deadline word per color (the table keeps one per delay group).
@@ -194,11 +191,13 @@ void ColorStateTable::LoadState(snapshot::Reader& r) {
       << "ColorStateTable restored with a different delta";
   RRS_CHECK_EQ(r.GetU64(), state_.size())
       << "ColorStateTable restored with a different color count";
-  for (State& s : state_) {
+  std::fill(eligible_bits_.begin(), eligible_bits_.end(), 0);
+  for (ColorId c = 0; c < state_.size(); ++c) {
+    State& s = state_[c];
     s.cnt = r.GetU64();
     s.timestamp = r.GetI64();
     s.pending_wrap = r.GetI64();
-    s.eligible = r.GetBool();
+    if (r.GetBool()) eligible_bits_[c / 64] |= uint64_t{1} << (c % 64);
     s.saw_jobs = r.GetBool();
   }
   RRS_CHECK_EQ(r.GetU64(), state_.size())
@@ -223,7 +222,7 @@ void ColorStateTable::LoadState(snapshot::Reader& r) {
   timestamp_update_events_ = r.GetU64();
   r.EndSection();
   RRS_CHECK_EQ(in_eligible_list_.size(), state_.size());
-  RebuildBits();
+  RebuildWrapBits();
 }
 
 uint64_t ColorStateTable::num_epochs() const {

@@ -22,9 +22,10 @@
 // ineligible drop costs, wrapping events, and timestamp update events.
 //
 // Colors sharing a delay bound form a delay group: they reach boundaries
-// together and carry the same deadline, so both are kept per group. The
-// eligible and wrap-pending predicates are mirrored as color bitsets, so
-// boundary processing visits only the colors that transition.
+// together and carry the same deadline, so both are kept per group.
+// Eligibility is stored as a color bitset and the wrap-pending predicate is
+// mirrored as one, so boundary processing visits only the colors that
+// transition.
 #pragma once
 
 #include <cstdint>
@@ -87,9 +88,7 @@ class ColorStateTable {
   // Step 1 for one color: ends the epoch (caller established eligible(c) and
   // !cached(c)).
   void BoundaryExpire(ColorId c) {
-    State& s = state_[c];
-    s.eligible = false;
-    s.cnt = 0;
+    state_[c].cnt = 0;
     ++epochs_completed_;
     eligible_list_dirty_ = true;
     eligible_bits_[c / 64] &= ~(uint64_t{1} << (c % 64));
@@ -112,7 +111,9 @@ class ColorStateTable {
 
   // ---- Queries -----------------------------------------------------------
 
-  bool eligible(ColorId c) const { return state_[c].eligible; }
+  bool eligible(ColorId c) const {
+    return (eligible_bits_[c / 64] >> (c % 64) & 1) != 0;
+  }
   uint64_t counter(ColorId c) const { return state_[c].cnt; }
   Round deadline(ColorId c) const { return group_dd_[group_of_[c]]; }
   Round timestamp(ColorId c) const { return state_[c].timestamp; }
@@ -123,14 +124,14 @@ class ColorStateTable {
   const std::vector<ColorId>& eligible_colors() const;
 
   // ---- Color bitsets -----------------------------------------------------
-  // Bit c % 64 of word c / 64. Derived from the per-color state, kept in
-  // step by every transition above and rebuilt by Reset/LoadState; never
-  // serialized.
+  // Bit c % 64 of word c / 64; padding bits past num_colors() stay zero.
 
   size_t num_words() const { return eligible_bits_.size(); }
-  // Colors with eligible(c).
+  // Colors with eligible(c): the eligibility state itself, saved and
+  // restored one word per color like the rest of State.
   std::span<const uint64_t> eligible_words() const { return eligible_bits_; }
-  // Colors with pending_wrap(c) >= 0.
+  // Colors with pending_wrap(c) >= 0: derived from State, kept in step by
+  // every transition above, rebuilt by LoadState and never serialized.
   std::span<const uint64_t> wrap_words() const { return wrap_bits_; }
 
   // ---- Delay groups ------------------------------------------------------
@@ -170,12 +171,13 @@ class ColorStateTable {
   // into the structured metrics registry.
   void ExportMetrics(obs::Registry& registry) const;
 
-  // Checkpoint/restore of all mutable state: per-color State, deadlines
-  // (one word per color), the eligible list (order and staleness included —
+  // Checkpoint/restore of all mutable state: per-color State (eligibility
+  // included), deadlines (one word per color), the eligible list (order and staleness included —
   // compaction order is observable through eligible_colors()), and the
-  // analysis counters. The delay groups and color bitsets are derived: Reset
-  // builds the groups from the instance and LoadState rebuilds the bitsets,
-  // so LoadState requires a table Reset against the same instance and delta.
+  // analysis counters. The delay groups and the wrap bitset are derived:
+  // Reset builds the groups from the instance and LoadState rebuilds the
+  // wrap bits, so LoadState requires a table Reset against the same instance
+  // and delta.
   void SaveState(snapshot::Writer& w) const;
   void LoadState(snapshot::Reader& r);
 
@@ -184,17 +186,16 @@ class ColorStateTable {
     uint64_t cnt = 0;
     Round timestamp = 0;
     Round pending_wrap = -1;  // wrap round awaiting boundary promotion
-    bool eligible = false;
     bool saw_jobs = false;
   };
 
-  // Rebuilds eligible_bits_ and wrap_bits_ from state_.
-  void RebuildBits();
+  // Rebuilds wrap_bits_ from state_.
+  void RebuildWrapBits();
 
   const Instance* instance_ = nullptr;
   uint64_t delta_ = 1;
   std::vector<State> state_;
-  std::vector<uint64_t> eligible_bits_;
+  std::vector<uint64_t> eligible_bits_;  // eligible(c), see eligible_words()
   std::vector<uint64_t> wrap_bits_;
   // Delay groups (see group_members()): sorted distinct D, per-group color
   // deadline, color -> group, and the member bitsets, num_words() per group.

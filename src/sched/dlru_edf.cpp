@@ -24,7 +24,6 @@ void DlruEdfPolicy::OnReset() {
   desired_bits_.assign(words, 0);
   evict_first_.assign(num_colors, 0);
   class_order_.reserve(table_.num_groups());
-  class_order_round_ = -1;
 }
 
 void DlruEdfPolicy::OnBecameEligible(Round k, ColorId c) {
@@ -45,6 +44,7 @@ void DlruEdfPolicy::OnTimestampUpdated(Round k, ColorId c) {
 }
 
 void DlruEdfPolicy::Reconfigure(Round k, int mini, ResourceView& view) {
+  (void)k;
   (void)mini;
   const uint32_t edf_budget = slots_.capacity() - lru_capacity_;
 
@@ -115,14 +115,11 @@ void DlruEdfPolicy::Reconfigure(Round k, int mini, ResourceView& view) {
   // the set bits of group & eligible & ~lru in ascending color order,
   // testing backlog per candidate. The walk ends at the budget, usually
   // after a handful of candidates.
-  if (class_order_round_ != k) {
-    class_order_.clear();
-    for (uint32_t g = 0; g < table_.num_groups(); ++g) {
-      class_order_.emplace_back(table_.group_deadline(g), g);
-    }
-    std::sort(class_order_.begin(), class_order_.end());
-    class_order_round_ = k;
+  class_order_.clear();
+  for (uint32_t g = 0; g < table_.num_groups(); ++g) {
+    class_order_.emplace_back(table_.group_deadline(g), g);
   }
+  std::sort(class_order_.begin(), class_order_.end());
   ranked_.clear();
   const std::span<const uint64_t> eligible = table_.eligible_words();
   for (const auto& [dd, g] : class_order_) {
@@ -181,7 +178,6 @@ void DlruEdfPolicy::LoadState(snapshot::Reader& r) {
   r.EndSection();
   tracker_.LoadState(r);
   RRS_CHECK_EQ(evict_first_.size(), num_colors);
-  class_order_round_ = -1;
 }
 
 }  // namespace rrs

@@ -116,10 +116,8 @@ class DlruEdfPolicy : public BatchedSchedulerBase {
   // Delay groups of the color table in (group deadline, D) order: every
   // color of a group shares its deadline, so the EDF scan walks groups in
   // this order and colors within a group in ascending order, which is
-  // exactly rank order (dd, D, color). Deadlines move only at boundaries,
-  // so the order is rebuilt once per round (class_order_round_).
+  // exactly rank order (dd, D, color).
   std::vector<std::pair<Round, uint32_t>> class_order_;
-  Round class_order_round_ = -1;
   Rng evict_rng_{0};
 };
 

@@ -1,13 +1,15 @@
 // Property test for the color bitsets behind the ΔLRU-EDF round.
 //
-// ColorStateTable's eligible, wrap-pending and delay-group masks, CacheSlots'
-// cached mask and DlruEdfPolicy's LRU mask are derived state: every
-// transition keeps them in step, Reset/LoadState rebuild them, and snapshots
-// never carry them. Seeded random drives push the three classes through
-// arrivals, drops, boundaries, reconfigurations, Reset, SaveState/LoadState,
-// and binding to, stepping and finishing a BatchEngine lane (whose fused
-// kernel writes the policy state directly). After every step each bitset
-// must equal its recomputation from the per-color state.
+// ColorStateTable's wrap-pending and delay-group masks and CacheSlots'
+// cached mask are derived state: every transition keeps them in step,
+// Reset/LoadState rebuild them, and snapshots never carry them. The
+// eligible and LRU masks are the state itself; their padding bits must stay
+// clear and the LRU set must stay the top eligible cached colors. Seeded
+// random drives push the three classes through arrivals, drops, boundaries,
+// reconfigurations, Reset, SaveState/LoadState, and binding to, stepping and
+// finishing a BatchEngine lane (whose fused kernel writes the policy state
+// directly). After every step each bitset must equal its recomputation from
+// the per-color state.
 #include <algorithm>
 #include <memory>
 #include <span>
@@ -77,8 +79,8 @@ std::string TableMismatch(const ColorStateTable& t, const Instance& inst) {
   for (size_t c = 0; c < Words(n) * 64; ++c) {
     const ColorId color = static_cast<ColorId>(c);
     const bool live = c < n;
-    if (Bit(t.eligible_words(), c) != (live && t.eligible(color))) {
-      out << "eligible bit of color " << c;
+    if (!live && Bit(t.eligible_words(), c)) {
+      out << "eligible padding bit " << c;
       return out.str();
     }
     if (Bit(t.wrap_words(), c) != (live && t.pending_wrap(color) >= 0)) {
@@ -202,10 +204,28 @@ TEST(ColorBitsets, TableAndSlotsTrackRandomTransitions) {
     const Instance* inst = &instances[0];
     ColorStateTable table;
     CacheSlots slots;
+    // Reference model of the counter and eligibility (Section 3.1): a wrap
+    // makes a color eligible; a boundary ends the epoch of an eligible,
+    // uncached color.
+    std::vector<uint64_t> ref_cnt;
+    std::vector<uint8_t> ref_eligible;
     auto reset = [&](const Instance& next) {
       inst = &next;
       table.Reset(next, delta);
       slots.Reset(primary, next.num_colors(), replicate);
+      ref_cnt.assign(next.num_colors(), 0);
+      ref_eligible.assign(next.num_colors(), 0);
+    };
+    auto model_mismatch = [&]() -> std::string {
+      for (ColorId c = 0; c < inst->num_colors(); ++c) {
+        if (table.eligible(c) != (ref_eligible[c] != 0)) {
+          return "eligible(" + std::to_string(c) + ")";
+        }
+        if (table.counter(c) != ref_cnt[c]) {
+          return "counter(" + std::to_string(c) + ")";
+        }
+      }
+      return "";
     };
     reset(*inst);
     StubView view(replicate ? 2 * primary : primary, 130);
@@ -222,18 +242,33 @@ TEST(ColorBitsets, TableAndSlotsTrackRandomTransitions) {
         table.RecordDrop(static_cast<ColorId>(rng.NextBounded(n)),
                          1 + rng.NextBounded(3));
       }
+      for (ColorId c = 0; c < n; ++c) {
+        if (k % inst->delay_bound(c) == 0 && ref_eligible[c] &&
+            !slots.IsCached(c)) {
+          ref_eligible[c] = 0;
+          ref_cnt[c] = 0;
+        }
+      }
       table.ProcessBoundary(k, slots.cached_words(), events);
       for (ColorId c : events.became_ineligible) {
         ASSERT_FALSE(slots.IsCached(c)) << at << ": cached color expired";
         ASSERT_FALSE(table.eligible(c)) << at;
       }
       ASSERT_EQ(TableMismatch(table, *inst), "") << at << " after boundary";
+      ASSERT_EQ(model_mismatch(), "") << at << " after boundary";
       // Arrival phase.
       for (int i = 0; i < 1 + static_cast<int>(n / 8); ++i) {
-        table.OnArrivals(k, static_cast<ColorId>(rng.NextBounded(n)),
-                         1 + rng.NextBounded(2 * delta));
+        const ColorId c = static_cast<ColorId>(rng.NextBounded(n));
+        const uint64_t count = 1 + rng.NextBounded(2 * delta);
+        ref_cnt[c] += count;
+        if (ref_cnt[c] >= delta) {
+          ref_cnt[c] %= delta;
+          ref_eligible[c] = 1;
+        }
+        table.OnArrivals(k, c, count);
       }
       ASSERT_EQ(TableMismatch(table, *inst), "") << at << " after arrivals";
+      ASSERT_EQ(model_mismatch(), "") << at << " after arrivals";
       // Reconfiguration: cache an eligible color, evicting one if full.
       for (int i = 0; i < 2; ++i) {
         const ColorId c = static_cast<ColorId>(rng.NextBounded(n));
@@ -262,6 +297,9 @@ TEST(ColorBitsets, TableAndSlotsTrackRandomTransitions) {
         slots2.LoadState(r);
         ASSERT_TRUE(r.AtEnd()) << at;
         ASSERT_EQ(TableMismatch(table2, *inst), "") << at << " after load";
+        for (ColorId c = 0; c < n; ++c) {
+          ASSERT_EQ(table2.eligible(c), ref_eligible[c] != 0) << at;
+        }
         ASSERT_EQ(CacheMismatch(slots2, n), "") << at << " after load";
         snapshot::Writer w2;
         table2.SaveState(w2);
